@@ -1,5 +1,6 @@
 #include "src/core/wasabi.h"
 
+#include <algorithm>
 #include <bit>
 #include <chrono>
 #include <cstdlib>
@@ -381,9 +382,9 @@ std::vector<OracleReport> EvaluateRunReports(const TestRunRecord& record,
   return reports;
 }
 
-// The single-line verdict text a recorder carries: "clean", or the deduped
-// report count plus the FNV digest of the canonical oracle signature. Replay
-// recomputes it independently, so equality proves the verdict reproduced.
+// The verdict line a record carries: "clean", or the deduped report count
+// plus the FNV digest of the canonical oracle signature. Replay recomputes it
+// independently, so equality proves the verdict reproduced.
 std::string RunVerdictText(size_t deduped_count, const std::string& signature) {
   if (deduped_count == 0) {
     return "clean";
@@ -392,49 +393,28 @@ std::string RunVerdictText(size_t deduped_count, const std::string& signature) {
          " sig=" + mj::DigestHex(mj::Fnv1a64(signature));
 }
 
-// Forwards dispatch-cache resolutions into the replay recorder (the campaign
-// executor has its own copy; both feed RunRecorder::Dispatch, whose per-run
-// dedup makes the stream arena-warmth-independent).
-struct ReplayDispatchObserver : DispatchObserver {
-  RunRecorder* recorder = nullptr;
-  void OnDispatch(uint32_t site_index, std::string_view cls,
-                  std::string_view method) override {
-    recorder->Dispatch(site_index, cls, method);
-  }
-};
-
-std::string ExtractVerdict(const RecordedRun& run) {
-  for (auto it = run.events.rbegin(); it != run.events.rend(); ++it) {
-    if (it->rfind("verdict\t", 0) == 0) {
-      return it->substr(8);
-    }
-  }
-  return std::string();
-}
-
 // An admission skip (fail-fast, quarantine quota, circuit open) depends on
-// every other run's fate, so it is not re-executable in isolation.
+// every other run's fate, so it is not re-executable in isolation. The
+// executor journals it as a quarantine whose detail is "<kind>: skipped: ...".
 bool IsAdmissionSkipped(const RecordedRun& run) {
-  for (const std::string& event : run.events) {
-    if (event.rfind("quarantine\t", 0) != 0) {
-      continue;
-    }
-    const size_t detail_start = event.find('\t', event.find('\t') + 1);
-    if (detail_start != std::string::npos &&
-        event.compare(detail_start + 1, 8, "skipped:") == 0) {
+  const std::string prefix =
+      std::string(RunFailureKindName(RunFailureKind::kHostException)) + ": skipped:";
+  for (const JournalEvent& event : run.events) {
+    if (event.kind == JournalEventKind::kQuarantine && event.detail.rfind(prefix, 0) == 0) {
       return true;
     }
   }
   return false;
 }
 
-// First event pair (or count mismatch) where two streams diverge.
+// First event pair (or count mismatch) where two records diverge.
 std::string FirstDivergence(const RecordedRun& recorded, const RecordedRun& replayed) {
   const size_t common = std::min(recorded.events.size(), replayed.events.size());
   for (size_t i = 0; i < common; ++i) {
     if (recorded.events[i] != replayed.events[i]) {
-      return "event " + std::to_string(i) + ": recorded \"" + recorded.events[i] +
-             "\" vs replayed \"" + replayed.events[i] + "\"";
+      return "event " + std::to_string(i) + ": recorded " +
+             EncodeJournalEvent(recorded.events[i]) + " vs replayed " +
+             EncodeJournalEvent(replayed.events[i]);
     }
   }
   if (recorded.events.size() != replayed.events.size()) {
@@ -442,6 +422,26 @@ std::string FirstDivergence(const RecordedRun& recorded, const RecordedRun& repl
            " vs replayed " + std::to_string(replayed.events.size());
   }
   return "header fields differ";
+}
+
+// The injectable retry locations, deduplicated across structures in
+// identification order; `owners`, when non-null, receives each location's
+// structure index.
+std::vector<RetryLocation> InjectableLocations(const IdentificationResult& identification,
+                                               std::vector<size_t>* owners = nullptr) {
+  std::unordered_set<std::string> seen;
+  std::vector<RetryLocation> locations;
+  for (size_t s = 0; s < identification.structures.size(); ++s) {
+    for (const RetryLocation& location : identification.structures[s].locations) {
+      if (seen.insert(location.Key()).second) {
+        locations.push_back(location);
+        if (owners != nullptr) {
+          owners->push_back(s);
+        }
+      }
+    }
+  }
+  return locations;
 }
 
 }  // namespace
@@ -455,6 +455,21 @@ const ProgramDigest& Wasabi::GetProgramDigest() {
     program_digest_memo_ = DigestProgram(program_);
   }
   return *program_digest_memo_;
+}
+
+RunnerOptions Wasabi::CampaignRunnerOptions(size_t* restrictions_restored) const {
+  // Test preparation (§3.1.4): defaults + restoration of restricted configs.
+  RunnerOptions runner_options;
+  runner_options.interp = options_.interp;
+  runner_options.config_overrides = options_.default_configs;
+  if (options_.restore_configs) {
+    ConfigRestorationResult restoration = ScanTestsForRetryRestrictions(program_);
+    runner_options.frozen_keys = restoration.keys_to_freeze;
+    if (restrictions_restored != nullptr) {
+      *restrictions_restored = restoration.restrictions.size();
+    }
+  }
+  return runner_options;
 }
 
 std::vector<BugReport> CollateStaticWithDynamic(const std::vector<BugReport>& static_bugs,
@@ -660,29 +675,9 @@ DynamicResult Wasabi::RunDynamicWorkflow() {
   result.identification_seconds = seconds_since(phase_start);
   result.structures_identified = identification.structures.size();
 
-  // Collect the injectable retry locations (deduplicated across structures)
-  // and remember which structure each belongs to.
-  std::unordered_set<std::string> seen_locations;
   std::vector<size_t> location_to_structure;
-  for (size_t s = 0; s < identification.structures.size(); ++s) {
-    for (const RetryLocation& location : identification.structures[s].locations) {
-      if (seen_locations.insert(location.Key()).second) {
-        result.locations.push_back(location);
-        location_to_structure.push_back(s);
-      }
-    }
-  }
-
-  // Test preparation (§3.1.4): defaults + restoration of restricted configs.
-  RunnerOptions runner_options;
-  runner_options.interp = options_.interp;
-  runner_options.config_overrides = options_.default_configs;
-  if (options_.restore_configs) {
-    ConfigRestorationResult restoration = ScanTestsForRetryRestrictions(program_);
-    runner_options.frozen_keys = restoration.keys_to_freeze;
-    result.config_restrictions_restored = restoration.restrictions.size();
-  }
-  TestRunner runner(program_, index_, runner_options);
+  result.locations = InjectableLocations(identification, &location_to_structure);
+  TestRunner runner(program_, index_, CampaignRunnerOptions(&result.config_restrictions_restored));
 
   std::vector<TestCase> tests = runner.DiscoverTests();
   result.total_tests = tests.size();
@@ -768,20 +763,25 @@ DynamicResult Wasabi::RunDynamicWorkflow() {
   // Per-worker arena pool shared by the campaign and the flakiness prober, so
   // probe reruns reuse the campaign's warm interpreters.
   std::vector<InterpreterArena> arenas(static_cast<size_t>(pool.worker_count()));
-  std::vector<RunRecorder> recorders;
+  // Record mode writes each run's slice of the campaign journal: the
+  // caller's, or a private one when none is attached.
   const bool recording = !options_.record_dir.empty();
-  const bool journaling = options_.journal != nullptr;
+  std::optional<RetryJournal> record_journal;
+  CampaignObs campaign_obs = obs;
+  if (recording && campaign_obs.journal == nullptr) {
+    campaign_obs.journal = &record_journal.emplace();
+  }
+  const bool journaling = campaign_obs.journal != nullptr;
   // All-or-nothing campaign replay: a warm hit yields the exact post-oracle
   // reports (classification included), quarantine records, and resilience
   // counters a cold campaign produces, in the same order; any gap runs
-  // everything cold and re-stores. Record mode and journaling force a cold
-  // campaign — a warm replay executes nothing, so there would be no decision
-  // stream to record and no retry behavior to journal.
+  // everything cold and re-stores. A journaled campaign runs cold — a warm
+  // replay executes nothing, so there would be no retry behavior to journal.
   CachedCampaign cached_campaign;
   const bool campaign_warm =
-      !recording && !journaling && cache_context.enabled() &&
+      !journaling && cache_context.enabled() &&
       TryLoadCampaign(cache_context, specs, result.locations, &cached_campaign);
-  if (cache_context.enabled() && !recording && !journaling) {
+  if (cache_context.enabled() && !journaling) {
     CacheLookupCounters campaign_lookups;
     CountCacheLookup(options_, kCacheNsCampaign, campaign_warm, campaign_lookups);
   }
@@ -828,8 +828,8 @@ DynamicResult Wasabi::RunDynamicWorkflow() {
         options_.progress->Begin("campaign", specs.size());
       }
       CampaignOutcome campaign_outcome =
-          ExecuteCampaignRobust(runner, result.locations, specs, pool, options_.robust, obs,
-                                &arenas, recording ? &recorders : nullptr);
+          ExecuteCampaignRobust(runner, result.locations, specs, pool, options_.robust,
+                                campaign_obs, &arenas);
       campaign = std::move(campaign_outcome.results);
       if (cache_context.enabled()) {
         cached_campaign.runs.assign(specs.size(), CachedRunVerdict{});
@@ -946,22 +946,31 @@ DynamicResult Wasabi::RunDynamicWorkflow() {
       }
     }
 
-    // Record mode: append each run's verdict line (an oracle-phase fact the
-    // executor could not know) and serialize the whole directory.
+    // Record mode: each run's journal slice plus its verdict (an
+    // oracle-phase fact the executor could not know).
     if (recording) {
       RecordManifest manifest;
       manifest.program_digest = mj::DigestHex(GetProgramDigest().digest);
       manifest.config_digest = mj::DigestHex(DigestDynamicConfig(options_));
-      std::vector<RecordedRun> recorded_runs;
-      recorded_runs.reserve(specs.size());
+      std::vector<RecordedRun> recorded_runs(specs.size());
       for (size_t i = 0; i < specs.size(); ++i) {
-        recorders[i].Verdict(run_completed[i]
-                                 ? RunVerdictText(run_deduped_counts[i], run_signatures[i])
-                                 : "quarantined");
-        recorded_runs.push_back(recorders[i].Finish());
-        manifest.runs.push_back(RecordManifest::Entry{
-            static_cast<int64_t>(specs[i].id), specs[i].test.qualified_name,
-            result.locations[specs[i].location_index].Key(), specs[i].k});
+        RecordedRun& run = recorded_runs[i];
+        run.run_id = static_cast<int64_t>(specs[i].id);
+        run.test = specs[i].test.qualified_name;
+        run.location_key = result.locations[specs[i].location_index].Key();
+        run.k = specs[i].k;
+        run.degraded_env = ChaosDegradedEnvironment(options_.robust.chaos, specs[i].id);
+        run.verdict = run_completed[i] ? RunVerdictText(run_deduped_counts[i], run_signatures[i])
+                                       : "quarantined";
+        manifest.runs.push_back(
+            RecordManifest::Entry{run.run_id, run.test, run.location_key, run.k});
+      }
+      // Collect() sorts by (stream, run, seq), so every slice arrives whole
+      // and in order; spec ids are the positions 0..n-1.
+      for (JournalEvent& event : campaign_obs.journal->Collect()) {
+        if (event.stream == JournalStream::kCampaign && event.run_id < recorded_runs.size()) {
+          recorded_runs[event.run_id].events.push_back(std::move(event));
+        }
       }
       std::string record_write_error;
       if (!WriteRecordDir(options_.record_dir, manifest, recorded_runs,
@@ -1000,7 +1009,7 @@ DynamicResult Wasabi::RunDynamicWorkflow() {
   // collected journal — merged and (stream, run, seq)-sorted, so identical at
   // any worker count — feeds amplification / goodput / time-to-recover /
   // latency-quantile stats into the metrics registry and trace counter tracks.
-  if (journaling) {
+  if (options_.journal != nullptr) {
     ExportRetryStats(ComputeRetryStats(options_.journal->Collect()), options_.metrics,
                      options_.tracer);
   }
@@ -1046,11 +1055,12 @@ ReplayOutcome Wasabi::ReplayRun(const std::string& record_dir, uint64_t run_id) 
     return outcome;
   }
   outcome.ok = true;
-  outcome.recorded_verdict = ExtractVerdict(outcome.recorded);
+  const RecordedRun& recorded = outcome.recorded;
+  outcome.recorded_verdict = recorded.verdict;
 
   // Admission skips (fail-fast, quarantine quota, open circuit) depend on the
   // fate of every other campaign run; the recorded verdict stands.
-  if (IsAdmissionSkipped(outcome.recorded)) {
+  if (IsAdmissionSkipped(recorded)) {
     outcome.replayed_verdict = outcome.recorded_verdict;
     outcome.stream_identical = true;
     outcome.verdict_identical = true;
@@ -1058,110 +1068,52 @@ ReplayOutcome Wasabi::ReplayRun(const std::string& record_dir, uint64_t run_id) 
   }
   outcome.executed = true;
 
-  // Rebuild the injectable-location list exactly as the dynamic workflow does
-  // (the identification memo makes this cheap after the recording run).
-  IdentificationResult identification = IdentifyRetryStructures();
-  std::unordered_set<std::string> seen_locations;
-  std::vector<RetryLocation> locations;
-  for (const RetryStructure& structure : identification.structures) {
-    for (const RetryLocation& location : structure.locations) {
-      if (seen_locations.insert(location.Key()).second) {
-        locations.push_back(location);
-      }
-    }
-  }
-  const RetryLocation* location = nullptr;
-  for (const RetryLocation& candidate : locations) {
-    if (candidate.Key() == outcome.recorded.location_key) {
-      location = &candidate;
-      break;
-    }
-  }
-  if (location == nullptr) {
+  // The same location list the dynamic workflow builds (the identification
+  // memo makes this cheap after the recording run).
+  std::vector<RetryLocation> locations = InjectableLocations(IdentifyRetryStructures());
+  auto location = std::find_if(locations.begin(), locations.end(), [&](const RetryLocation& l) {
+    return l.Key() == recorded.location_key;
+  });
+  if (location == locations.end()) {
     outcome.ok = false;
     outcome.executed = false;
-    outcome.error = "recorded location not identified: " + outcome.recorded.location_key;
+    outcome.error = "recorded location not identified: " + recorded.location_key;
     return outcome;
   }
 
-  RunnerOptions runner_options;
-  runner_options.interp = options_.interp;
-  runner_options.config_overrides = options_.default_configs;
-  if (options_.restore_configs) {
-    runner_options.frozen_keys = ScanTestsForRetryRestrictions(program_).keys_to_freeze;
-  }
-  TestRunner runner(program_, index_, runner_options);
+  // Re-execute the recorded spec as a one-run campaign on a one-worker pool,
+  // journaled privately. Chaos draws, backoff draws, the degraded-environment
+  // flag, and injector decisions are all pure functions of (run_id, attempt),
+  // so the slice reproduces without any campaign context. The breaker is
+  // isolated: it sees only this run's failures, which matches the campaign
+  // whenever this run alone fed its location's circuit; genuine cross-run
+  // breaker interaction surfaces as an honest divergence.
+  TestRunner runner(program_, index_, CampaignRunnerOptions());
+  CampaignRunSpec spec;
+  spec.id = run_id;
+  spec.test.qualified_name = recorded.test;
+  spec.k = recorded.k;
+  RetryJournal journal;
+  TaskPool pool(1);
+  CampaignOutcome campaign =
+      ExecuteCampaignRobust(runner, {*location}, {spec}, pool, options_.robust,
+                            CampaignObs{options_.tracer, options_.metrics, nullptr, &journal});
 
-  // Re-execute the run's attempt schedule. Chaos draws, backoff draws, the
-  // degraded-environment flag, and injector decisions are all pure functions
-  // of (run_id, attempt), so the stream reproduces without any campaign
-  // context. The breaker is isolated: it sees only this run's failures, which
-  // matches the campaign whenever this run alone fed its location's circuit;
-  // genuine cross-run breaker interaction surfaces as an honest divergence.
-  const ChaosConfig& chaos = options_.robust.chaos;
-  TestCase test;
-  test.qualified_name = outcome.recorded.test;
-  RunRecorder recorder;
-  recorder.BeginRun(outcome.recorded.run_id, outcome.recorded.test,
-                    outcome.recorded.location_key, outcome.recorded.k,
-                    ChaosDegradedEnvironment(chaos, run_id), outcome.recorded.epoch_ms);
-  InterpreterArena arena;
-  CircuitBreaker breaker(options_.robust.breaker_threshold);
-  TestRunRecord record;
-  bool completed = false;
-  int attempt = 0;
-  while (true) {
-    ++attempt;
-    if (chaos.enabled) {
-      recorder.Chaos(attempt, ChaosShouldFault(chaos, run_id, attempt));
-    }
-    try {
-      // Chaos seam before the injector, exactly as in the campaign worker: a
-      // faulted attempt records no AttemptBegin and fires no injections.
-      ChaosMaybeFault(chaos, run_id, attempt);
-      FaultInjector injector({InjectionPoint{location->retried_method, location->coordinator,
-                                             location->exception_name, outcome.recorded.k}},
-                             options_.metrics);
-      injector.set_recorder(&recorder);
-      ReplayDispatchObserver dispatch_observer;
-      dispatch_observer.recorder = &recorder;
-      RunPerturbation perturbation;
-      perturbation.virtual_clock_epoch_ms = outcome.recorded.epoch_ms;
-      perturbation.chaos_degraded_env = ChaosDegradedEnvironment(chaos, run_id);
-      perturbation.dispatch_observer = &dispatch_observer;
-      recorder.AttemptBegin(attempt);
-      record = runner.RunTest(test, {&injector}, &arena, perturbation);
-      recorder.AttemptEnd(attempt, TestStatusName(record.outcome.status));
-      completed = true;
-      break;
-    } catch (...) {
-      RunFailure failure = ClassifyFailure(std::current_exception());
-      recorder.HostFailure(attempt, RunFailureKindName(failure.kind), failure.detail);
-      breaker.RecordFailure(outcome.recorded.location_key);
-      const int next_attempt = attempt + 1;
-      if (options_.robust.retry.ShouldRetry(next_attempt) &&
-          !breaker.IsOpen(outcome.recorded.location_key)) {
-        recorder.Backoff(next_attempt, options_.robust.retry.BackoffMs(run_id, next_attempt));
-        continue;
-      }
-      recorder.Quarantine(RunFailureKindName(failure.kind), failure.detail);
-      break;
-    }
+  RecordedRun& replayed = outcome.replayed;
+  replayed = recorded;  // Same run identity by construction.
+  replayed.degraded_env = ChaosDegradedEnvironment(options_.robust.chaos, run_id);
+  replayed.verdict = "quarantined";
+  if (!campaign.results.empty()) {
+    std::vector<OracleReport> deduped = DeduplicateReports(EvaluateRunReports(
+        campaign.results.front().record, *location, options_.oracles, options_.use_oracles));
+    replayed.verdict = RunVerdictText(deduped.size(), OracleSignature(deduped));
   }
-  if (completed) {
-    std::vector<OracleReport> deduped = DeduplicateReports(
-        EvaluateRunReports(record, *location, options_.oracles, options_.use_oracles));
-    recorder.Verdict(RunVerdictText(deduped.size(), OracleSignature(deduped)));
-  } else {
-    recorder.Verdict("quarantined");
-  }
-  outcome.replayed = recorder.Finish();
-  outcome.replayed_verdict = ExtractVerdict(outcome.replayed);
-  outcome.stream_identical =
-      SerializeRecordedRun(outcome.replayed) == SerializeRecordedRun(outcome.recorded);
+  replayed.events = journal.Collect();
+  outcome.replayed_verdict = replayed.verdict;
+  outcome.stream_identical = replayed == recorded;
   outcome.verdict_identical = outcome.replayed_verdict == outcome.recorded_verdict;
   if (!outcome.stream_identical) {
-    outcome.divergence = FirstDivergence(outcome.recorded, outcome.replayed);
+    outcome.divergence = FirstDivergence(recorded, replayed);
   }
   return outcome;
 }

@@ -86,10 +86,10 @@ struct WasabiOptions {
   // the campaign verdicts. SimLLM judges a root cause for non-stable classes.
   ProberOptions prober;
   // Record mode (docs/FLAKINESS.md): when non-empty, the dynamic workflow
-  // records every campaign run's complete decision stream into this directory
-  // (one checksummed run-<id>.rec per run plus MANIFEST.tsv) and forces a cold
-  // campaign (a warm replay executes nothing, so there is nothing to record).
-  // Recording never changes any report byte.
+  // journals the campaign (into `journal`, or a private journal when that is
+  // null, so the campaign runs cold) and writes every run's slice of it plus
+  // its verdict into this directory: one checksummed run-<id>.rec per run
+  // plus MANIFEST.tsv. Recording never changes any report or journal byte.
   std::string record_dir;
 };
 
@@ -162,7 +162,7 @@ struct ReplayOutcome {
   bool executed = false;  // False for admission-skipped runs, which depend on
                           // campaign-wide state and are not re-executable in
                           // isolation; their recorded verdict stands.
-  bool stream_identical = false;   // Replayed decision stream == recorded, byte for byte.
+  bool stream_identical = false;   // Replayed record (events + verdict) == recorded.
   bool verdict_identical = false;  // Replayed verdict line == recorded verdict line.
   std::string error;               // Load/validation diagnostic when !ok.
   std::string recorded_verdict;
@@ -187,11 +187,11 @@ class Wasabi {
 
   // Replays ONE recorded run in isolation: validates the record directory's
   // version/checksums and that its program/config digests match this instance,
-  // re-executes the run's attempt schedule (chaos draws, backoff draws, and
-  // injector decisions are pure functions of (run_id, attempt)), and compares
-  // the freshly recorded decision stream and verdict byte-for-byte against
-  // the recorded ones. Admission-skipped runs ("skipped:" quarantines) return
-  // the recorded verdict with executed == false.
+  // re-executes the recorded spec as a one-run campaign with a private journal
+  // (chaos draws, backoff draws, and injector decisions are pure functions of
+  // (run_id, attempt)), and compares the journal slice and verdict against
+  // the recorded ones event by event. Admission-skipped runs ("skipped:"
+  // quarantines) return the recorded verdict with executed == false.
   ReplayOutcome ReplayRun(const std::string& record_dir, uint64_t run_id);
 
   const WasabiOptions& options() const { return options_; }
@@ -213,6 +213,10 @@ class Wasabi {
 
  private:
   std::vector<BugReport> ToBugReports(const std::vector<OracleReport>& reports) const;
+  // Test preparation shared by the campaign and replay (§3.1.4): default
+  // configs plus restoration of restricted retry configs, whose count goes to
+  // `restrictions_restored` when non-null.
+  RunnerOptions CampaignRunnerOptions(size_t* restrictions_restored = nullptr) const;
   // Content digest of the program, computed once per instance (the Program is
   // immutable for the instance's lifetime).
   const ProgramDigest& GetProgramDigest();

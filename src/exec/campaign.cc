@@ -149,20 +149,6 @@ void ExportRobustMetrics(const CampaignObs& obs, const RobustnessStats& stats) {
   obs.metrics->Increment("robust.backoff_virtual_ms", stats.backoff_virtual_ms);
 }
 
-}  // namespace
-
-namespace {
-
-// Forwards dispatch-cache resolutions into a run's decision stream. One
-// instance per in-flight attempt, owned by the worker lambda.
-struct RecorderDispatchObserver : DispatchObserver {
-  RunRecorder* recorder = nullptr;
-  void OnDispatch(uint32_t site_index, std::string_view cls,
-                  std::string_view method) override {
-    recorder->Dispatch(site_index, cls, method);
-  }
-};
-
 // Counts retry-loop (while/for) iterations executed inside the coordinator
 // method for the journal. One instance per in-flight attempt, owned by the
 // worker lambda; the coordinator filter keeps the application's unrelated
@@ -185,17 +171,8 @@ struct JournalLoopObserver : LoopObserver {
 CampaignOutcome ExecuteCampaignRobust(const TestRunner& runner,
                                       const std::vector<RetryLocation>& locations,
                                       const std::vector<CampaignRunSpec>& specs, TaskPool& pool,
-                                      const RobustnessOptions& options, const CampaignObs& obs) {
-  return ExecuteCampaignRobust(runner, locations, specs, pool, options, obs, nullptr,
-                               nullptr);
-}
-
-CampaignOutcome ExecuteCampaignRobust(const TestRunner& runner,
-                                      const std::vector<RetryLocation>& locations,
-                                      const std::vector<CampaignRunSpec>& specs, TaskPool& pool,
                                       const RobustnessOptions& options, const CampaignObs& obs,
-                                      std::vector<InterpreterArena>* arenas,
-                                      std::vector<RunRecorder>* recorders) {
+                                      std::vector<InterpreterArena>* arenas) {
   CampaignOutcome outcome;
   RobustnessStats& stats = outcome.robustness;
   std::vector<CampaignRunResult> results(specs.size());
@@ -206,25 +183,10 @@ CampaignOutcome ExecuteCampaignRobust(const TestRunner& runner,
   std::vector<InterpreterArena>& arena_pool = arenas != nullptr ? *arenas : local_arenas;
   CircuitBreaker breaker(options.breaker_threshold, options.breaker_cooldown);
 
-  if (recorders != nullptr) {
-    // One decision stream per run, indexed by run id (== spec position).
-    // Begun up front so even never-admitted runs serialize a complete record.
-    recorders->clear();
-    recorders->resize(specs.size());
-    for (size_t i = 0; i < specs.size(); ++i) {
-      (*recorders)[i].BeginRun(specs[i].id, specs[i].test.qualified_name,
-                               locations[specs[i].location_index].Key(), specs[i].k,
-                               ChaosDegradedEnvironment(options.chaos, specs[i].id),
-                               /*epoch_ms=*/0);
-    }
-  }
-  auto recorder_for = [&](size_t i) -> RunRecorder* {
-    return recorders != nullptr ? &(*recorders)[i] : nullptr;
-  };
-
-  // One journal handle per run, indexed like `recorders`. A handle is touched
-  // by at most one worker per wave and by the serial reduce after the wave
-  // joins, so its per-run sequence numbers never race.
+  // One journal handle per spec, begun up front so even never-admitted runs
+  // get a complete slice. A handle is touched by at most one worker per wave
+  // and by the serial reduce after the wave joins, so its per-run sequence
+  // numbers never race.
   std::vector<JournalRun> journal_runs;
   if (obs.journal != nullptr) {
     journal_runs.resize(specs.size());
@@ -245,9 +207,6 @@ CampaignOutcome ExecuteCampaignRobust(const TestRunner& runner,
     failure.test = spec.test.qualified_name;
     failure.location = locations[spec.location_index].Key();
     failure.attempts = attempts[i];
-    if (RunRecorder* recorder = recorder_for(i)) {
-      recorder->Quarantine(RunFailureKindName(failure.kind), failure.detail);
-    }
     if (JournalRun* jr = journal_for(i)) {
       jr->Quarantine(RunFailureKindName(failure.kind), failure.detail);
     }
@@ -312,10 +271,6 @@ CampaignOutcome ExecuteCampaignRobust(const TestRunner& runner,
           if (attempt > 1) {
             span.AddArg("attempt", static_cast<int64_t>(attempt));
           }
-          RunRecorder* recorder = recorder_for(i);
-          if (recorder != nullptr && options.chaos.enabled) {
-            recorder->Chaos(attempt, ChaosShouldFault(options.chaos, spec.id, attempt));
-          }
           // The chaos seam sits before the injector so a faulted attempt
           // contributes no injection counters — the fault-free metric totals
           // stay reachable by retry.
@@ -323,21 +278,13 @@ CampaignOutcome ExecuteCampaignRobust(const TestRunner& runner,
           FaultInjector injector({InjectionPoint{location.retried_method, location.coordinator,
                                                  location.exception_name, spec.k}},
                                  obs.metrics);
-          RecorderDispatchObserver dispatch_observer;
           JournalLoopObserver loop_observer;
           RunPerturbation perturbation;
           perturbation.chaos_degraded_env = ChaosDegradedEnvironment(options.chaos, spec.id);
-          if (recorder != nullptr) {
-            recorder->AttemptBegin(attempt);
-            injector.set_recorder(recorder);
-            dispatch_observer.recorder = recorder;
-            perturbation.dispatch_observer = &dispatch_observer;
-          }
           JournalRun* jr = journal_for(i);
           if (jr != nullptr) {
-            // Like the recorder's AttemptBegin, this sits after the chaos
-            // seam: a chaos-faulted attempt never began at the app level and
-            // shows up as a reduce-time kHostFailure instead.
+            // After the chaos seam: a chaos-faulted attempt never began at
+            // the app level and shows up as a reduce-time kHostFailure.
             jr->AttemptBegin(attempt);
             loop_observer.coordinator = location.coordinator;
             perturbation.loop_observer = &loop_observer;
@@ -349,9 +296,6 @@ CampaignOutcome ExecuteCampaignRobust(const TestRunner& runner,
           result.record = runner.RunTest(
               spec.test, {&injector},
               &arena_pool[static_cast<size_t>(TaskPool::CurrentWorker())], perturbation);
-          if (recorder != nullptr) {
-            recorder->AttemptEnd(attempt, TestStatusName(result.record.outcome.status));
-          }
           if (jr != nullptr) {
             // Derive the attempt's retry timeline from run-private data (the
             // execution log preserves fire/sleep interleaving in virtual-time
@@ -395,9 +339,6 @@ CampaignOutcome ExecuteCampaignRobust(const TestRunner& runner,
       if (failure.chaos) {
         ++stats.chaos_faults;
       }
-      if (RunRecorder* recorder = recorder_for(i)) {
-        recorder->HostFailure(attempts[i], RunFailureKindName(failure.kind), failure.detail);
-      }
       if (JournalRun* jr = journal_for(i)) {
         jr->HostFailure(attempts[i], RunFailureKindName(failure.kind), failure.chaos);
       }
@@ -417,9 +358,6 @@ CampaignOutcome ExecuteCampaignRobust(const TestRunner& runner,
         ++stats.retries;
         const int64_t backoff_ms = options.retry.BackoffMs(specs[i].id, next_attempt);
         stats.backoff_virtual_ms += backoff_ms;
-        if (RunRecorder* recorder = recorder_for(i)) {
-          recorder->Backoff(next_attempt, backoff_ms);
-        }
         if (JournalRun* jr = journal_for(i)) {
           jr->BackoffWait(next_attempt, backoff_ms);
         }

@@ -23,7 +23,6 @@
 #include "src/obs/metrics.h"
 #include "src/obs/progress.h"
 #include "src/obs/trace.h"
-#include "src/record/recorder.h"
 #include "src/robust/robust.h"
 #include "src/testing/coverage.h"
 #include "src/testing/runner.h"
@@ -110,29 +109,17 @@ struct CampaignOutcome {
   RobustnessStats robustness;
 };
 
+// `arenas`, when non-null, are caller-owned per-worker arenas (size >=
+// pool.worker_count()); sharing them lets the flakiness prober reuse the
+// campaign's warm interpreters (docs/FLAKINESS.md). Null falls back to
+// executor-local arenas. A journal in `obs` receives every run's campaign
+// stream, which is also what record mode writes and replay compares.
 CampaignOutcome ExecuteCampaignRobust(const TestRunner& runner,
                                       const std::vector<RetryLocation>& locations,
                                       const std::vector<CampaignRunSpec>& specs, TaskPool& pool,
                                       const RobustnessOptions& options,
-                                      const CampaignObs& obs = {});
-
-// As above, with two extensions the flakiness prober and record/replay modes
-// need (docs/FLAKINESS.md):
-//   * `arenas` — caller-owned per-worker arenas (size >= pool.worker_count()).
-//     Sharing them lets the prober reuse the campaign's warm interpreters.
-//     Null falls back to executor-local arenas.
-//   * `recorders` — when non-null, resized to specs.size() and filled with one
-//     decision stream per run (indexed by run id): chaos draws, attempt
-//     begin/end, backoff draws, dispatch resolutions, injector fire/skip
-//     choices, and quarantine outcomes. The caller appends the final verdict
-//     (an oracle-phase fact) and serializes. Recording never changes the
-//     campaign's observable outcome.
-CampaignOutcome ExecuteCampaignRobust(const TestRunner& runner,
-                                      const std::vector<RetryLocation>& locations,
-                                      const std::vector<CampaignRunSpec>& specs, TaskPool& pool,
-                                      const RobustnessOptions& options, const CampaignObs& obs,
-                                      std::vector<InterpreterArena>* arenas,
-                                      std::vector<RunRecorder>* recorders);
+                                      const CampaignObs& obs = {},
+                                      std::vector<InterpreterArena>* arenas = nullptr);
 
 // Fault-contained coverage discovery: a test whose coverage run keeps failing
 // at the host level is quarantined (location "<coverage>") and simply covers

@@ -170,8 +170,14 @@ void TaskPool::WorkLoop(int worker) {
         return;
       }
       seen_generation = job_generation_;
+      ++helpers_in_job_;
     }
     RunJob(worker);
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      --helpers_in_job_;
+    }
+    helpers_cv_.notify_one();
   }
 }
 
@@ -214,7 +220,8 @@ std::vector<std::exception_ptr> TaskPool::ParallelForCaptured(
   }
   assert(count <= UINT32_MAX);
   {
-    std::lock_guard<std::mutex> lock(mutex_);
+    std::unique_lock<std::mutex> lock(mutex_);
+    helpers_cv_.wait(lock, [&] { return helpers_in_job_ == 0; });
     job_fn_ = &fn;
     job_errors_ = &errors;
     job_pending_.store(count, std::memory_order_release);

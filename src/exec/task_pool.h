@@ -126,6 +126,12 @@ class TaskPool {
 
   std::mutex mutex_;
   std::condition_variable job_cv_;
+  // Helpers currently inside RunJob, guarded by mutex_. A helper can still be
+  // in RunJob after the previous job drained; ParallelForCaptured waits on
+  // helpers_cv_ for this to reach 0 before it installs the next job, so no
+  // helper ever steals from a range that is being installed.
+  int helpers_in_job_ = 0;
+  std::condition_variable helpers_cv_;
   const std::function<void(size_t)>* job_fn_ = nullptr;
   uint64_t job_generation_ = 0;
   std::atomic<size_t> job_pending_{0};  // Indices not yet fully executed.

@@ -18,18 +18,12 @@ void FaultInjector::OnCall(const CallEvent& event, Interpreter& interp) {
       continue;
     }
     if (counts_[i] >= point.max_injections) {
-      // Budget exhausted: the call proceeds un-faulted. That is still a
-      // decision worth replay-validating (it is what ends a retry storm).
+      // Budget exhausted: the call proceeds un-faulted. The retry journal
+      // counts these (it is what ends a retry storm).
       ++skip_counts_[i];
-      if (recorder_ != nullptr) {
-        recorder_->InjectSkip(point.callee, event.caller, point.exception);
-      }
       continue;
     }
     ++counts_[i];
-    if (recorder_ != nullptr) {
-      recorder_->Inject(point.callee, event.caller, point.exception, counts_[i]);
-    }
     if (metrics_ != nullptr) {
       metrics_->Increment("injector.injections_total");
       metrics_->Increment("injector.injections.site." + point.callee);

@@ -16,7 +16,6 @@
 
 #include "src/interp/interpreter.h"
 #include "src/obs/metrics.h"
-#include "src/record/recorder.h"
 
 namespace wasabi {
 
@@ -61,16 +60,11 @@ class FaultInjector : public CallInterceptor {
 
   void Reset();
 
-  // Non-owning; when set, every fire and exhausted-budget skip decision is
-  // appended to the run's decision stream (docs/FLAKINESS.md record/replay).
-  void set_recorder(RunRecorder* recorder) { recorder_ = recorder; }
-
  private:
   std::vector<InjectionPoint> points_;
   std::vector<int> counts_;
   std::vector<int> skip_counts_;
   MetricsRegistry* metrics_;  // Non-owning; null = no metric export.
-  RunRecorder* recorder_ = nullptr;
 };
 
 }  // namespace wasabi

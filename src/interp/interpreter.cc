@@ -36,7 +36,6 @@ void Interpreter::ResetForRun() {
   config_.clear();
   frozen_config_keys_.clear();
   interceptors_.clear();
-  dispatch_observer_ = nullptr;
   loop_observer_ = nullptr;
   log_.Clear();
   virtual_time_ms_ = 0;
@@ -806,12 +805,6 @@ Value Interpreter::EvalCall(const mj::CallExpr& call) {
         entry.method = index_.ResolveMethod(*object->decl(), call.callee);
       }
       method = entry.method;
-      if (dispatch_observer_ != nullptr) [[unlikely]] {
-        dispatch_observer_->OnDispatch(
-            call.site_index, object->decl()->name,
-            method != nullptr ? std::string_view(method->qualified_cache)
-                              : std::string_view());
-      }
     } else {
       method = index_.ResolveMethod(*object->decl(), call.callee);
     }
@@ -1049,16 +1042,8 @@ bool Interpreter::EvalBinaryFast(const mj::BinaryExpr& expr, int64_t* out, Value
         *out = li * ri;
         return true;
       case BinaryOp::kDiv:
-        if (ri == 0) {
-          ThrowMj("ArithmeticException", "division by zero");
-        }
-        *out = li / ri;
-        return true;
       case BinaryOp::kMod:
-        if (ri == 0) {
-          ThrowMj("ArithmeticException", "modulo by zero");
-        }
-        *out = li % ri;
+        *out = DivideInt(expr.op, li, ri);
         return true;
       case BinaryOp::kEq:
         *boxed = Value{li == ri};
@@ -1102,20 +1087,11 @@ bool Interpreter::EvalBinaryFast(const mj::BinaryExpr& expr, int64_t* out, Value
     case BinaryOp::kMul:
       *out = AsInt(lhs, expr.location) * AsInt(rhs, expr.location);
       return true;
-    case BinaryOp::kDiv: {
-      int64_t divisor = AsInt(rhs, expr.location);
-      if (divisor == 0) {
-        ThrowMj("ArithmeticException", "division by zero");
-      }
-      *out = AsInt(lhs, expr.location) / divisor;
-      return true;
-    }
+    case BinaryOp::kDiv:
     case BinaryOp::kMod: {
-      int64_t divisor = AsInt(rhs, expr.location);
-      if (divisor == 0) {
-        ThrowMj("ArithmeticException", "modulo by zero");
-      }
-      *out = AsInt(lhs, expr.location) % divisor;
+      // The divisor is coerced and zero-checked before the dividend.
+      const int64_t divisor = AsInt(rhs, expr.location);
+      *out = DivideInt(expr.op, divisor == 0 ? 0 : AsInt(lhs, expr.location), divisor);
       return true;
     }
     case BinaryOp::kEq:
@@ -1141,6 +1117,15 @@ bool Interpreter::EvalBinaryFast(const mj::BinaryExpr& expr, int64_t* out, Value
   }
 }
 
+int64_t Interpreter::DivideInt(mj::BinaryOp op, int64_t lhs, int64_t rhs) {
+  const bool modulo = op == mj::BinaryOp::kMod;
+  int64_t result = 0;
+  if (!IntDivide(lhs, rhs, modulo, &result)) {
+    ThrowMj("ArithmeticException", modulo ? "modulo by zero" : "division by zero");
+  }
+  return result;
+}
+
 Value Interpreter::ApplyBinary(mj::BinaryOp op, const Value& lhs, const Value& rhs,
                                mj::SourceLocation location) {
   using mj::BinaryOp;
@@ -1158,15 +1143,8 @@ Value Interpreter::ApplyBinary(mj::BinaryOp op, const Value& lhs, const Value& r
       case BinaryOp::kMul:
         return Value{*li * *ri};
       case BinaryOp::kDiv:
-        if (*ri == 0) {
-          ThrowMj("ArithmeticException", "division by zero");
-        }
-        return Value{*li / *ri};
       case BinaryOp::kMod:
-        if (*ri == 0) {
-          ThrowMj("ArithmeticException", "modulo by zero");
-        }
-        return Value{*li % *ri};
+        return Value{DivideInt(op, *li, *ri)};
       case BinaryOp::kEq:
         return Value{*li == *ri};
       case BinaryOp::kNe:
@@ -1193,19 +1171,11 @@ Value Interpreter::ApplyBinary(mj::BinaryOp op, const Value& lhs, const Value& r
       return Value{AsInt(lhs, location) - AsInt(rhs, location)};
     case BinaryOp::kMul:
       return Value{AsInt(lhs, location) * AsInt(rhs, location)};
-    case BinaryOp::kDiv: {
-      int64_t divisor = AsInt(rhs, location);
-      if (divisor == 0) {
-        ThrowMj("ArithmeticException", "division by zero");
-      }
-      return Value{AsInt(lhs, location) / divisor};
-    }
+    case BinaryOp::kDiv:
     case BinaryOp::kMod: {
-      int64_t divisor = AsInt(rhs, location);
-      if (divisor == 0) {
-        ThrowMj("ArithmeticException", "modulo by zero");
-      }
-      return Value{AsInt(lhs, location) % divisor};
+      // The divisor is coerced and zero-checked before the dividend.
+      const int64_t divisor = AsInt(rhs, location);
+      return Value{DivideInt(op, divisor == 0 ? 0 : AsInt(lhs, location), divisor)};
     }
     case BinaryOp::kEq:
       return Value{ValueEquals(lhs, rhs)};

@@ -83,28 +83,32 @@ class CallInterceptor {
   virtual void OnCall(const CallEvent& event, Interpreter& interp) = 0;
 };
 
-// Observes monomorphic dispatch-cache resolutions (docs/FLAKINESS.md). The
-// observer fires on every cached-dispatch USE, not only on installs: installs
-// depend on arena warmth (a reused interpreter may already hold the entry from
-// an earlier run), while uses are a pure function of the run itself — which is
-// what single-run record/replay needs. `method` is empty for a negative entry
-// (receiver class resolves no user method; builtins handle the call).
-class DispatchObserver {
- public:
-  virtual ~DispatchObserver() = default;
-  virtual void OnDispatch(uint32_t site_index, std::string_view cls,
-                          std::string_view method) = 0;
-};
-
 // Observes while/for back-edges with the enclosing method's qualified name
 // and the virtual clock. The retry journal uses it to count coordinator
-// retry-loop iterations per attempt; like DispatchObserver, null (the
-// default) keeps the loop hot path down to one pointer test.
+// retry-loop iterations per attempt; null (the default) keeps the loop hot
+// path down to one pointer test.
 class LoopObserver {
  public:
   virtual ~LoopObserver() = default;
   virtual void OnLoopIteration(std::string_view method, int64_t virtual_ms) = 0;
 };
+
+// mj's integer `/` (and `%` when `modulo`), with Java `long` semantics:
+// truncation toward zero, and the one quotient C++ leaves undefined wraps
+// instead of trapping (MIN / -1 == MIN, MIN % -1 == 0). Returns false on a
+// zero divisor, which each engine reports its own way: ArithmeticException,
+// or the VM's bail to the tree walker.
+inline bool IntDivide(int64_t lhs, int64_t rhs, bool modulo, int64_t* out) {
+  if (rhs == 0) {
+    return false;
+  }
+  if (rhs == -1) {
+    *out = modulo ? 0 : static_cast<int64_t>(0 - static_cast<uint64_t>(lhs));
+    return true;
+  }
+  *out = modulo ? lhs % rhs : lhs / rhs;
+  return true;
+}
 
 // Which engine executes method bodies (docs/PERFORMANCE.md "Bytecode VM").
 // Both are byte-identical in every observable: verdicts, logs, step counts,
@@ -136,10 +140,7 @@ class Interpreter {
 
   // --- Instrumentation ------------------------------------------------------
   void AddInterceptor(CallInterceptor* interceptor);  // Non-owning.
-  // Non-owning; cleared by ResetForRun. Null (the default) keeps the dispatch
-  // hot path free of virtual calls.
-  void set_dispatch_observer(DispatchObserver* observer) { dispatch_observer_ = observer; }
-  // Non-owning; cleared by ResetForRun. Same null-by-default discipline.
+  // Non-owning; cleared by ResetForRun.
   void set_loop_observer(LoopObserver* observer) { loop_observer_ = observer; }
 
   // --- Run perturbation ------------------------------------------------------
@@ -319,6 +320,9 @@ class Interpreter {
     }
   }
   [[noreturn]] void ThrowMj(const std::string& class_name, const std::string& message);
+  // IntDivide for op kDiv/kMod; a zero divisor throws mj ArithmeticException
+  // ("division by zero" / "modulo by zero").
+  int64_t DivideInt(mj::BinaryOp op, int64_t lhs, int64_t rhs);
   // AsBool/AsInt succeed on the expected alternative and otherwise delegate to
   // the out-of-line ThrowTypeError; splitting off the cold string-building
   // keeps the checks small enough to inline into Eval/EvalBinary.
@@ -359,7 +363,6 @@ class Interpreter {
   // Out-of-line cold path: called only when loop_observer_ is set.
   void NotifyLoopIteration();
 
-  DispatchObserver* dispatch_observer_ = nullptr;
   LoopObserver* loop_observer_ = nullptr;
   ExecutionLog log_;
   int64_t virtual_time_ms_ = 0;

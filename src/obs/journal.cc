@@ -1,6 +1,7 @@
 #include "src/obs/journal.h"
 
 #include <algorithm>
+#include <climits>
 #include <cstdio>
 #include <sstream>
 
@@ -201,22 +202,39 @@ class Scanner {
     return Fail("unterminated string", error);
   }
 
-  bool Int(int64_t* out, std::string* error) {
+  // A decimal integer within [min, max]. Magnitudes are accumulated in
+  // uint64_t and checked before every step, so no input can overflow; a
+  // rejected value names `field` and the offset it starts at.
+  bool Int(std::string_view field, int64_t min, int64_t max, int64_t* out,
+           std::string* error) {
     SkipWs();
-    bool negative = false;
-    if (pos_ < text_.size() && text_[pos_] == '-') {
-      negative = true;
+    const size_t start = pos_;
+    const bool negative = pos_ < text_.size() && text_[pos_] == '-';
+    if (negative) {
       ++pos_;
     }
     if (pos_ >= text_.size() || text_[pos_] < '0' || text_[pos_] > '9') {
       return Fail("expected integer", error);
     }
-    int64_t value = 0;
+    // |INT64_MIN| is one more than INT64_MAX.
+    const uint64_t limit = static_cast<uint64_t>(INT64_MAX) + (negative ? 1 : 0);
+    uint64_t magnitude = 0;
+    bool overflow = false;
     while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') {
-      value = value * 10 + (text_[pos_] - '0');
+      const uint64_t digit = static_cast<uint64_t>(text_[pos_] - '0');
+      overflow = overflow || magnitude > (limit - digit) / 10;
+      if (!overflow) {
+        magnitude = magnitude * 10 + digit;
+      }
       ++pos_;
     }
-    *out = negative ? -value : value;
+    // Negating in uint64_t wraps 2^63 to INT64_MIN instead of overflowing.
+    const int64_t value = static_cast<int64_t>(negative ? 0 - magnitude : magnitude);
+    if (overflow || value < min || value > max) {
+      pos_ = start;
+      return Fail("'" + std::string(field) + "' out of range", error);
+    }
+    *out = value;
     return true;
   }
 
@@ -235,15 +253,6 @@ class Scanner {
   size_t pos_ = 0;
 };
 
-void AppendEventJson(std::ostringstream& out, const JournalEvent& event) {
-  out << "{\"stream\":\"" << JournalStreamName(event.stream) << "\",\"run\":" << event.run_id
-      << ",\"seq\":" << event.seq << ",\"kind\":\"" << JournalEventKindName(event.kind)
-      << "\",\"test\":\"" << EscapeJson(event.test) << "\",\"location\":\""
-      << EscapeJson(event.location) << "\",\"k\":" << event.k << ",\"attempt\":" << event.attempt
-      << ",\"t_ms\":" << event.t_ms << ",\"value\":" << event.value << ",\"detail\":\""
-      << EscapeJson(event.detail) << "\"}";
-}
-
 bool ParseEvent(Scanner& scan, JournalEvent* event, std::string* error) {
   std::string text;
   int64_t number = 0;
@@ -256,12 +265,12 @@ bool ParseEvent(Scanner& scan, JournalEvent* event, std::string* error) {
     return scan.Fail("unknown stream '" + text + "'", error);
   }
   if (!scan.Literal(",", error) || !scan.Literal("\"run\"", error) ||
-      !scan.Literal(":", error) || !scan.Int(&number, error)) {
+      !scan.Literal(":", error) || !scan.Int("run", 0, INT64_MAX, &number, error)) {
     return false;
   }
   event->run_id = static_cast<uint64_t>(number);
   if (!scan.Literal(",", error) || !scan.Literal("\"seq\"", error) ||
-      !scan.Literal(":", error) || !scan.Int(&number, error)) {
+      !scan.Literal(":", error) || !scan.Int("seq", 0, UINT32_MAX, &number, error)) {
     return false;
   }
   event->seq = static_cast<uint32_t>(number);
@@ -281,21 +290,23 @@ bool ParseEvent(Scanner& scan, JournalEvent* event, std::string* error) {
     return false;
   }
   if (!scan.Literal(",", error) || !scan.Literal("\"k\"", error) || !scan.Literal(":", error) ||
-      !scan.Int(&number, error)) {
+      !scan.Int("k", INT_MIN, INT_MAX, &number, error)) {
     return false;
   }
   event->k = static_cast<int>(number);
   if (!scan.Literal(",", error) || !scan.Literal("\"attempt\"", error) ||
-      !scan.Literal(":", error) || !scan.Int(&number, error)) {
+      !scan.Literal(":", error) || !scan.Int("attempt", INT_MIN, INT_MAX, &number, error)) {
     return false;
   }
   event->attempt = static_cast<int>(number);
   if (!scan.Literal(",", error) || !scan.Literal("\"t_ms\"", error) ||
-      !scan.Literal(":", error) || !scan.Int(&event->t_ms, error)) {
+      !scan.Literal(":", error) ||
+      !scan.Int("t_ms", INT64_MIN, INT64_MAX, &event->t_ms, error)) {
     return false;
   }
   if (!scan.Literal(",", error) || !scan.Literal("\"value\"", error) ||
-      !scan.Literal(":", error) || !scan.Int(&event->value, error)) {
+      !scan.Literal(":", error) ||
+      !scan.Int("value", INT64_MIN, INT64_MAX, &event->value, error)) {
     return false;
   }
   if (!scan.Literal(",", error) || !scan.Literal("\"detail\"", error) ||
@@ -306,6 +317,25 @@ bool ParseEvent(Scanner& scan, JournalEvent* event, std::string* error) {
 }
 
 }  // namespace
+
+std::string EncodeJournalEvent(const JournalEvent& event) {
+  std::ostringstream out;
+  out << "{\"stream\":\"" << JournalStreamName(event.stream) << "\",\"run\":" << event.run_id
+      << ",\"seq\":" << event.seq << ",\"kind\":\"" << JournalEventKindName(event.kind)
+      << "\",\"test\":\"" << EscapeJson(event.test) << "\",\"location\":\""
+      << EscapeJson(event.location) << "\",\"k\":" << event.k << ",\"attempt\":" << event.attempt
+      << ",\"t_ms\":" << event.t_ms << ",\"value\":" << event.value << ",\"detail\":\""
+      << EscapeJson(event.detail) << "\"}";
+  return out.str();
+}
+
+bool DecodeJournalEvent(std::string_view text, JournalEvent* event, std::string* error) {
+  Scanner scan(text);
+  if (!ParseEvent(scan, event, error)) {
+    return false;
+  }
+  return scan.AtEnd() || scan.Fail("trailing content", error);
+}
 
 const char* JournalStreamName(JournalStream stream) {
   switch (stream) {
@@ -447,8 +477,7 @@ std::string RetryJournal::ToJson(std::string_view app) const {
   out << "{\n\"version\": \"" << kJournalVersion << "\",\n\"app\": \"" << EscapeJson(app)
       << "\",\n\"event_count\": " << events.size() << ",\n\"events\": [";
   for (size_t i = 0; i < events.size(); ++i) {
-    out << (i > 0 ? ",\n" : "\n");
-    AppendEventJson(out, events[i]);
+    out << (i > 0 ? ",\n" : "\n") << EncodeJournalEvent(events[i]);
   }
   out << "\n]\n}\n";
   return out.str();
@@ -474,7 +503,8 @@ bool RetryJournal::ParseJson(std::string_view text, std::vector<JournalEvent>* e
   }
   int64_t declared_count = 0;
   if (!scan.Literal(",", error) || !scan.Literal("\"event_count\"", error) ||
-      !scan.Literal(":", error) || !scan.Int(&declared_count, error)) {
+      !scan.Literal(":", error) ||
+      !scan.Int("event_count", 0, INT64_MAX, &declared_count, error)) {
     return false;
   }
   if (!scan.Literal(",", error) || !scan.Literal("\"events\"", error) ||

@@ -6,8 +6,9 @@
 // budget skips, application sleeps and host backoff waits (virtual ms),
 // circuit-breaker transitions, quarantines, cache hits/misses, and flakiness
 // prober repetitions. Every event is tagged {stream, run_id, test, location,
-// k, attempt} so it joins against Chrome-trace spans and src/record decision
-// streams by run id.
+// k, attempt} so it joins against Chrome-trace spans by run id. It is the
+// pipeline's single per-run event stream: a src/record file is one campaign
+// run's slice of it, written with the event codec below.
 //
 // Recording follows the same lock-free discipline as Tracer: every thread
 // appends to its own buffer (registered once under a mutex on first use) and
@@ -98,7 +99,17 @@ struct JournalEvent {
   int64_t t_ms = 0;   // Virtual milliseconds where meaningful; never wall time.
   int64_t value = 0;  // Kind-specific payload (see JournalEventKind).
   std::string detail;
+
+  bool operator==(const JournalEvent&) const = default;
 };
+
+// The event codec ToJson and src/record share: one event as one JSON object
+// with the full fixed field set in fixed key order, on one line (escaping
+// leaves no raw newline or tab). DecodeJournalEvent accepts exactly that
+// shape and rejects anything else, out-of-range integers included, with a
+// diagnostic naming the offset.
+std::string EncodeJournalEvent(const JournalEvent& event);
+bool DecodeJournalEvent(std::string_view text, JournalEvent* event, std::string* error);
 
 class RetryJournal {
  public:
@@ -118,9 +129,9 @@ class RetryJournal {
   // run concurrently with Append; callers collect after parallel phases join.
   std::vector<JournalEvent> Collect() const;
 
-  // Versioned JSON export ("wasabi-journal-v1"). Every event is one object
-  // with the full fixed field set in fixed key order, so the output is
-  // byte-stable and ParseJson below can stay strict and small.
+  // Versioned JSON export ("wasabi-journal-v1"): one EncodeJournalEvent
+  // object per event, so the output is byte-stable and ParseJson below can
+  // stay strict and small.
   std::string ToJson(std::string_view app) const;
 
   // Strict parser for the exact format ToJson writes (used by the `wasabi

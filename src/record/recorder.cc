@@ -1,6 +1,7 @@
 #include "src/record/recorder.h"
 
-#include <cstdlib>
+#include <charconv>
+#include <climits>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -29,14 +30,15 @@ std::vector<std::string_view> SplitTabs(std::string_view line) {
   }
 }
 
-bool ParseI64(std::string_view text, int64_t* out) {
-  std::string buffer(text);
-  char* end = nullptr;
-  long long value = std::strtoll(buffer.c_str(), &end, 10);
-  if (buffer.empty() || end == buffer.c_str() || *end != '\0') {
+// A whole-field decimal integer within [min, max]: no sign but '-', no
+// whitespace, no saturation on overflow.
+bool ParseInt(std::string_view text, int64_t min, int64_t max, int64_t* out) {
+  int64_t value = 0;
+  auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), value);
+  if (ec != std::errc() || end != text.data() + text.size() || value < min || value > max) {
     return false;
   }
-  *out = static_cast<int64_t>(value);
+  *out = value;
   return true;
 }
 
@@ -58,16 +60,18 @@ bool ReadHeader(const std::vector<std::string_view>& lines, size_t index,
   return true;
 }
 
-// The checksum covers every byte before the checksum line itself. Records are
-// serialized with exactly one '\n' per line, so rejoining the parsed lines
-// reproduces the hashed prefix byte for byte.
-uint64_t ChecksumLines(const std::vector<std::string_view>& lines, size_t count) {
-  uint64_t hash = mj::kFnvOffsetBasis;
-  for (size_t i = 0; i < count; ++i) {
-    hash = mj::Fnv1a64(lines[i], hash);
-    hash = mj::Fnv1a64("\n", hash);
+bool ReadIntHeader(const std::vector<std::string_view>& lines, size_t index,
+                   std::string_view name, int64_t min, int64_t max, int64_t* out,
+                   std::string* error) {
+  std::string_view value;
+  if (!ReadHeader(lines, index, name, &value, error)) {
+    return false;
   }
-  return hash;
+  if (!ParseInt(value, min, max, out)) {
+    *error = "bad '" + std::string(name) + "' header value '" + std::string(value) + "'";
+    return false;
+  }
+  return true;
 }
 
 // Splits `text` into lines, requiring a trailing newline on the last one (a
@@ -92,8 +96,8 @@ bool SplitLines(std::string_view text, std::vector<std::string_view>* lines,
 }
 
 // Shared version + checksum envelope validation for records and manifests.
-// On success `lines` holds the payload lines between the version line and the
-// checksum line.
+// The checksum covers every byte before the checksum line. On success `lines`
+// holds the payload lines between the version line and the checksum line.
 bool ValidateEnvelope(std::string_view text, std::string_view version,
                       std::vector<std::string_view>* lines, std::string* error) {
   std::vector<std::string_view> all;
@@ -114,8 +118,8 @@ bool ValidateEnvelope(std::string_view text, std::string_view version,
     *error = "record truncated (last line is not a checksum)";
     return false;
   }
-  uint64_t expected = ChecksumLines(all, all.size() - 1);
-  if (std::string(last[1]) != mj::DigestHex(expected)) {
+  const size_t body_size = text.size() - all.back().size() - 1;
+  if (last[1] != mj::DigestHex(mj::Fnv1a64(text.substr(0, body_size)))) {
     *error = "checksum mismatch: file is corrupt";
     return false;
   }
@@ -164,106 +168,6 @@ bool ReadFileText(const fs::path& path, std::string* out, std::string* error) {
 
 }  // namespace
 
-// --- RunRecorder ------------------------------------------------------------
-
-void RunRecorder::BeginRun(int64_t run_id, std::string test, std::string location_key,
-                           int k, bool degraded_env, int64_t epoch_ms) {
-  run_ = RecordedRun{};
-  run_.run_id = run_id;
-  run_.test = std::move(test);
-  run_.location_key = std::move(location_key);
-  run_.k = k;
-  run_.degraded_env = degraded_env;
-  run_.epoch_ms = epoch_ms;
-  dispatch_seen_.clear();
-  skip_key_.clear();
-  skip_count_ = 0;
-}
-
-void RunRecorder::Chaos(int attempt, bool faulted) {
-  FlushSkip();
-  run_.events.push_back("chaos\t" + std::to_string(attempt) + "\t" +
-                        (faulted ? "fault" : "ok"));
-}
-
-void RunRecorder::AttemptBegin(int attempt) {
-  FlushSkip();
-  run_.events.push_back("attempt\t" + std::to_string(attempt) + "\tbegin");
-}
-
-void RunRecorder::AttemptEnd(int attempt, std::string_view status) {
-  FlushSkip();
-  run_.events.push_back("attempt\t" + std::to_string(attempt) + "\tend\t" +
-                        std::string(status));
-}
-
-void RunRecorder::Backoff(int attempt, int64_t ms) {
-  FlushSkip();
-  run_.events.push_back("backoff\t" + std::to_string(attempt) + "\t" + std::to_string(ms));
-}
-
-void RunRecorder::Dispatch(uint32_t site_index, std::string_view cls,
-                           std::string_view method) {
-  std::string key = std::to_string(site_index) + "\t" + std::string(cls) + "\t" +
-                    std::string(method);
-  if (!dispatch_seen_.insert(key).second) {
-    return;
-  }
-  FlushSkip();
-  run_.events.push_back("dispatch\t" + key);
-}
-
-void RunRecorder::Inject(std::string_view callee, std::string_view caller,
-                         std::string_view exception, int count) {
-  FlushSkip();
-  run_.events.push_back("inject\t" + std::string(callee) + "\t" + std::string(caller) +
-                        "\t" + std::string(exception) + "\t" + std::to_string(count));
-}
-
-void RunRecorder::InjectSkip(std::string_view callee, std::string_view caller,
-                             std::string_view exception) {
-  std::string key = std::string(callee) + "\t" + std::string(caller) + "\t" +
-                    std::string(exception);
-  if (skip_count_ > 0 && key == skip_key_) {
-    ++skip_count_;
-    return;
-  }
-  FlushSkip();
-  skip_key_ = std::move(key);
-  skip_count_ = 1;
-}
-
-void RunRecorder::HostFailure(int attempt, std::string_view kind, std::string_view detail) {
-  FlushSkip();
-  run_.events.push_back("host-failure\t" + std::to_string(attempt) + "\t" +
-                        std::string(kind) + "\t" + std::string(detail));
-}
-
-void RunRecorder::Quarantine(std::string_view kind, std::string_view detail) {
-  FlushSkip();
-  run_.events.push_back("quarantine\t" + std::string(kind) + "\t" + std::string(detail));
-}
-
-void RunRecorder::Verdict(std::string_view text) {
-  FlushSkip();
-  run_.events.push_back("verdict\t" + std::string(text));
-}
-
-RecordedRun RunRecorder::Finish() {
-  FlushSkip();
-  dispatch_seen_.clear();
-  return std::move(run_);
-}
-
-void RunRecorder::FlushSkip() {
-  if (skip_count_ > 0) {
-    run_.events.push_back("inject-skip\t" + skip_key_ + "\tx" +
-                          std::to_string(skip_count_));
-    skip_key_.clear();
-    skip_count_ = 0;
-  }
-}
-
 // --- Serialization ----------------------------------------------------------
 
 std::string SerializeRecordedRun(const RecordedRun& run) {
@@ -275,10 +179,10 @@ std::string SerializeRecordedRun(const RecordedRun& run) {
   out.append("location\t" + run.location_key + "\n");
   out.append("k\t" + std::to_string(run.k) + "\n");
   out.append("env\t" + std::string(run.degraded_env ? "1" : "0") + "\n");
-  out.append("epoch\t" + std::to_string(run.epoch_ms) + "\n");
+  out.append("verdict\t" + run.verdict + "\n");
   out.append("events\t" + std::to_string(run.events.size()) + "\n");
-  for (const std::string& event : run.events) {
-    out.append(event);
+  for (const JournalEvent& event : run.events) {
+    out.append(EncodeJournalEvent(event));
     out.push_back('\n');
   }
   AppendChecksum(&out);
@@ -294,11 +198,8 @@ bool ParseRecordedRun(std::string_view text, RecordedRun* out, std::string* erro
   RecordedRun run;
   std::string_view value;
   int64_t number = 0;
-  if (!ReadHeader(lines, 0, "run", &value, error) || !ParseI64(value, &run.run_id)) {
-    if (error->empty()) *error = "bad run id";
-    return false;
-  }
-  if (!ReadHeader(lines, 1, "test", &value, error)) {
+  if (!ReadIntHeader(lines, 0, "run", 0, INT64_MAX, &run.run_id, error) ||
+      !ReadHeader(lines, 1, "test", &value, error)) {
     return false;
   }
   run.test = std::string(value);
@@ -306,33 +207,41 @@ bool ParseRecordedRun(std::string_view text, RecordedRun* out, std::string* erro
     return false;
   }
   run.location_key = std::string(value);
-  if (!ReadHeader(lines, 3, "k", &value, error) || !ParseI64(value, &number)) {
-    if (error->empty()) *error = "bad k";
+  if (!ReadIntHeader(lines, 3, "k", INT_MIN, INT_MAX, &number, error)) {
     return false;
   }
   run.k = static_cast<int>(number);
-  if (!ReadHeader(lines, 4, "env", &value, error) || (value != "0" && value != "1")) {
-    if (error->empty()) *error = "bad env flag";
+  if (!ReadIntHeader(lines, 4, "env", 0, 1, &number, error)) {
     return false;
   }
-  run.degraded_env = value == "1";
-  if (!ReadHeader(lines, 5, "epoch", &value, error) || !ParseI64(value, &run.epoch_ms)) {
-    if (error->empty()) *error = "bad epoch";
+  run.degraded_env = number == 1;
+  if (!ReadHeader(lines, 5, "verdict", &value, error)) {
     return false;
   }
-  if (!ReadHeader(lines, 6, "events", &value, error) || !ParseI64(value, &number) ||
-      number < 0) {
-    if (error->empty()) *error = "bad event count";
+  run.verdict = std::string(value);
+  constexpr size_t kHeaderLines = 7;
+  if (!ReadIntHeader(lines, 6, "events", 0, INT64_MAX, &number, error)) {
     return false;
   }
-  if (lines.size() != 7 + static_cast<size_t>(number)) {
+  if (lines.size() - kHeaderLines != static_cast<uint64_t>(number)) {
     *error = "event count mismatch: header says " + std::to_string(number) + ", found " +
-             std::to_string(lines.size() - 7);
+             std::to_string(lines.size() - kHeaderLines);
     return false;
   }
-  run.events.reserve(static_cast<size_t>(number));
-  for (size_t i = 7; i < lines.size(); ++i) {
-    run.events.emplace_back(lines[i]);
+  run.events.resize(static_cast<size_t>(number));
+  for (size_t i = 0; i < run.events.size(); ++i) {
+    JournalEvent& event = run.events[i];
+    std::string event_error;
+    if (!DecodeJournalEvent(lines[kHeaderLines + i], &event, &event_error)) {
+      *error = "record event " + std::to_string(i) + ": " + event_error;
+      return false;
+    }
+    if (event.stream != JournalStream::kCampaign ||
+        event.run_id != static_cast<uint64_t>(run.run_id) || event.test != run.test ||
+        event.location != run.location_key || event.k != run.k) {
+      *error = "record event " + std::to_string(i) + " does not belong to this record's run";
+      return false;
+    }
   }
   *out = std::move(run);
   return true;
@@ -371,8 +280,9 @@ bool ParseRecordManifest(std::string_view text, RecordManifest* out, std::string
     std::vector<std::string_view> fields = SplitTabs(lines[i]);
     RecordManifest::Entry entry;
     int64_t k = 0;
-    if (fields.size() != 5 || fields[0] != "run" || !ParseI64(fields[1], &entry.run_id) ||
-        !ParseI64(fields[4], &k)) {
+    if (fields.size() != 5 || fields[0] != "run" ||
+        !ParseInt(fields[1], 0, INT64_MAX, &entry.run_id) ||
+        !ParseInt(fields[4], INT_MIN, INT_MAX, &k)) {
       *error = "bad manifest run line " + std::to_string(i + 2);
       return false;
     }

@@ -1,13 +1,14 @@
 // Single-run record/replay (docs/FLAKINESS.md).
 //
-// A RunRecorder captures the complete decision stream of ONE injected campaign
-// run — chaos draws, host-retry attempts, retry-policy backoff draws,
-// dispatch-cache resolutions, injector fire/skip choices, and the final
-// verdict — as an ordered list of text events. The stream is a pure function
-// of the run (not of worker count, arena warmth, or cache state), which is
-// what makes a recorded run independently replayable: re-executing the same
-// (run_id, test, location, k) spec under the same perturbation must reproduce
-// the stream byte for byte.
+// A record is one injected campaign run's slice of the retry journal
+// (src/obs/journal.h): the run's campaign-stream events — attempts, work
+// steps, coordinator loop iterations, injection fires and skips, sleeps,
+// backoff waits, host failures, breaker opens, and the quarantine, if any —
+// plus the verdict the oracles reached. The slice is a pure function of the
+// run (not of worker count, arena warmth, or cache state), which is what
+// makes a recorded run independently replayable: re-executing the same
+// (run_id, test, location, k) spec under the same configuration must
+// reproduce the events exactly.
 //
 // Serialized records are versioned and checksummed (FNV-1a 64, the repo-wide
 // stable hash): a truncated, bit-flipped, or version-skewed file is rejected
@@ -21,33 +22,33 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <unordered_set>
 #include <vector>
+
+#include "src/obs/journal.h"
 
 namespace wasabi {
 
 // Bump on ANY change to the record layout: replay of a stale record must fail
 // validation, not silently misinterpret fields.
-inline constexpr std::string_view kRecordFormatVersion = "wasabi-record-v1";
+inline constexpr std::string_view kRecordFormatVersion = "wasabi-record-v2";
 inline constexpr std::string_view kRecordManifestVersion = "wasabi-record-manifest-v1";
 
-// One run's parsed (or freshly recorded) decision stream.
+// One run's parsed (or freshly sliced) record.
 struct RecordedRun {
   int64_t run_id = 0;
   std::string test;          // "Cls.testX".
   std::string location_key;  // RetryLocation::Key().
   int k = 0;                 // Injection count (1 or 100).
   bool degraded_env = false; // Run executed under the chaos-degraded config.
-  int64_t epoch_ms = 0;      // Virtual-clock epoch the run started at.
-  std::vector<std::string> events;  // Tab-separated event lines, in order.
+  std::string verdict;       // "clean", "reports=N sig=HEX", or "quarantined".
+  std::vector<JournalEvent> events;  // The run's campaign journal slice, in seq order.
 
   bool operator==(const RecordedRun&) const = default;
 };
 
 // The record directory's table of contents. Replay refuses to execute against
 // a program or dynamic configuration different from the recorded one — the
-// digests are the proof the replayed binary decisions still mean the same
-// thing.
+// digests are the proof the replayed decisions still mean the same thing.
 struct RecordManifest {
   std::string program_digest;
   std::string config_digest;
@@ -64,71 +65,20 @@ struct RecordManifest {
   bool operator==(const RecordManifest&) const = default;
 };
 
-// Accumulates one run's decision stream. Single-threaded by construction: a
-// campaign run executes on exactly one worker, so the recorder needs no locks.
-// Consecutive injector skip decisions for the same point are coalesced into
-// one `inject-skip ... xN` event (a k=100 exhausted injector would otherwise
-// dominate the stream with thousands of identical lines).
-class RunRecorder {
- public:
-  void BeginRun(int64_t run_id, std::string test, std::string location_key, int k,
-                bool degraded_env, int64_t epoch_ms);
-
-  // Host-level chaos draw for one attempt (before the attempt executes).
-  void Chaos(int attempt, bool faulted);
-  void AttemptBegin(int attempt);
-  void AttemptEnd(int attempt, std::string_view status);
-  // Retry-policy backoff charged after a failed attempt.
-  void Backoff(int attempt, int64_t ms);
-  // Dispatch-cache resolution observed at a call site. Deduplicated per run on
-  // (site, class, method): the first use per site/receiver is recorded, which
-  // is identical for cold and warm arenas (installs are not — a warm arena may
-  // carry entries from earlier runs).
-  void Dispatch(uint32_t site_index, std::string_view cls, std::string_view method);
-  // Injector decisions: a fire (with the post-increment injection count) or a
-  // skip (budget exhausted).
-  void Inject(std::string_view callee, std::string_view caller, std::string_view exception,
-              int count);
-  void InjectSkip(std::string_view callee, std::string_view caller,
-                  std::string_view exception);
-  // Host-level failure of one attempt (the attempt threw out of the runner —
-  // chaos fault or infrastructure exception), as classified by the reduce.
-  void HostFailure(int attempt, std::string_view kind, std::string_view detail);
-  // The run was given up on (attempts exhausted, circuit open, fail-fast, or
-  // quarantine quota). `detail` starting with "skipped:" marks an admission
-  // skip, which depends on campaign-wide state and is NOT re-executable in
-  // isolation — replay returns the recorded verdict instead.
-  void Quarantine(std::string_view kind, std::string_view detail);
-  // Final verdict line(s): completed/quarantined plus the oracle-report
-  // signature the classifier saw.
-  void Verdict(std::string_view text);
-
-  // Flushes any pending coalesced skip and returns the finished run (the
-  // recorder is reusable afterwards via BeginRun).
-  RecordedRun Finish();
-
- private:
-  void FlushSkip();
-
-  RecordedRun run_;
-  std::unordered_set<std::string> dispatch_seen_;
-  std::string skip_key_;  // Empty = no pending coalesced skip.
-  std::string skip_line_;
-  int skip_count_ = 0;
-};
-
 // --- Serialization ----------------------------------------------------------
-// Text layout (tab-separated fields; identifiers never contain tabs):
-//   wasabi-record-v1
-//   run   <id>
-//   test  <name>
+// Text layout (tab-separated header fields; identifiers never contain tabs):
+//   wasabi-record-v2
+//   run      <id>
+//   test     <name>
 //   location <key>
-//   k     <k>
-//   env   <0|1>
-//   epoch <ms>
-//   events <count>
-//   <event lines ...>
+//   k        <k>
+//   env      <0|1>
+//   verdict  <text>
+//   events   <count>
+//   <one EncodeJournalEvent object per line ...>
 //   checksum <fnv1a64-hex of everything above>
+// Every event must carry the header's run identity (campaign stream, run id,
+// test, location, k); the parser rejects one that does not.
 
 std::string SerializeRecordedRun(const RecordedRun& run);
 bool ParseRecordedRun(std::string_view text, RecordedRun* out, std::string* error);

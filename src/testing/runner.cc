@@ -86,7 +86,6 @@ TestRunRecord TestRunner::RunTest(const TestCase& test,
   if (perturbation.virtual_clock_epoch_ms != 0) {
     interp.set_run_epoch_ms(perturbation.virtual_clock_epoch_ms);
   }
-  interp.set_dispatch_observer(perturbation.dispatch_observer);
   interp.set_loop_observer(perturbation.loop_observer);
   if (perturbation.chaos_degraded_env) {
     interp.SetConfig("chaos.degraded", Value{true});

@@ -59,8 +59,6 @@ struct RunPerturbation {
   // Sets interpreter config "chaos.degraded" = true for this run, the seeded
   // degraded-environment chaos mode applications can branch on.
   bool chaos_degraded_env = false;
-  // Non-owning; observes dispatch-cache resolutions for record/replay.
-  DispatchObserver* dispatch_observer = nullptr;
   // Non-owning; observes while/for back-edges for the retry journal.
   LoopObserver* loop_observer = nullptr;
 };
@@ -82,7 +80,7 @@ class TestRunner {
                         InterpreterArena* arena = nullptr) const;
 
   // As above, with a per-run perturbation (clock epoch, degraded environment,
-  // dispatch observer). The default RunPerturbation{} is behavior-identical to
+  // loop observer). The default RunPerturbation{} is behavior-identical to
   // the three-argument overload.
   TestRunRecord RunTest(const TestCase& test, std::vector<CallInterceptor*> interceptors,
                         InterpreterArena* arena, const RunPerturbation& perturbation) const;

@@ -18,10 +18,10 @@
 //   3. delegation opcodes (kCallTree/kNewTree/kEvalTree/kExecTree) that hand
 //      a subtree to the tree-walker — calls, news, switch, try-with-finally,
 //      throw. Every observation point (CallInterceptor pointcuts, injector
-//      fire/skip sites, the per-site monomorphic dispatch cache + observer,
+//      fire/skip sites, the per-site monomorphic dispatch cache,
 //      LoopObserver back-edges, ExecLog writes, step/virtual-time budgets)
-//      lives on those shared paths, so src/inject, src/exec, src/obs and
-//      src/record see the exact same hooks under either engine.
+//      lives on those shared paths, so src/inject, src/exec and src/obs see
+//      the exact same hooks under either engine.
 
 #ifndef WASABI_SRC_VM_BYTECODE_H_
 #define WASABI_SRC_VM_BYTECODE_H_

@@ -49,15 +49,8 @@ Value VmExecutor::IntArith(Interpreter& in, mj::BinaryOp op, int64_t lhs, int64_
     case BinaryOp::kMul:
       return Value{lhs * rhs};
     case BinaryOp::kDiv:
-      if (rhs == 0) {
-        in.ThrowMj("ArithmeticException", "division by zero");
-      }
-      return Value{lhs / rhs};
     case BinaryOp::kMod:
-      if (rhs == 0) {
-        in.ThrowMj("ArithmeticException", "modulo by zero");
-      }
-      return Value{lhs % rhs};
+      return Value{in.DivideInt(op, lhs, rhs)};
     case BinaryOp::kEq:
       return Value{lhs == rhs};
     case BinaryOp::kNe:
@@ -568,20 +561,9 @@ dispatch:
               sp[-1] *= *sp;
               break;
             case IntOpKind::kDiv:
-              --sp;
-              if (*sp == 0) {
-                ok = false;
-              } else {
-                sp[-1] /= *sp;
-              }
-              break;
             case IntOpKind::kMod:
               --sp;
-              if (*sp == 0) {
-                ok = false;
-              } else {
-                sp[-1] %= *sp;
-              }
+              ok = IntDivide(sp[-1], *sp, iop.kind == IntOpKind::kMod, &sp[-1]);
               break;
             case IntOpKind::kNeg:
               sp[-1] = -sp[-1];

@@ -6,6 +6,7 @@
 
 #include <sstream>
 #include <string>
+#include <type_traits>
 
 #include "src/lang/diagnostics.h"
 #include "src/lang/parser.h"
@@ -131,7 +132,13 @@ struct RatioCase {
   int retried;
   int not_retried;
   bool expect_outlier;
+  // gtest names each case after a hex dump of the object's bytes. Implicit
+  // padding would put stack garbage into that name and change it from build
+  // to build, so the padding is a zeroed member instead.
+  char padding[3] = {};
 };
+static_assert(std::has_unique_object_representations_v<RatioCase>,
+              "RatioCase must have no implicit padding");
 
 class RatioSweepTest : public ::testing::TestWithParam<RatioCase> {};
 

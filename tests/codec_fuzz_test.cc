@@ -1,0 +1,132 @@
+// Seeded byte-mutation fuzzing of the on-disk event codecs (ctest label
+// "fuzz", run under AddressSanitizer by scripts/reproduce.sh). Three real
+// inputs from one recorded, journaled flakylab campaign — a run-<id>.rec
+// file, the record directory's MANIFEST.tsv, and the campaign's journal JSON
+// — each take 10,000 bit flips, truncations, and byte insertions. The contract: a mutated
+// record or manifest is always rejected with a diagnostic (every byte is
+// under the checksum), a mutated journal either parses or fails with a
+// diagnostic, and nothing crashes or reads out of bounds.
+
+#include <cstdint>
+#include <filesystem>
+#include <fstream>
+#include <functional>
+#include <random>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include <gtest/gtest.h>
+
+#include "src/core/wasabi.h"
+#include "src/corpus/corpus.h"
+#include "src/obs/journal.h"
+#include "src/record/recorder.h"
+
+namespace wasabi {
+namespace {
+
+namespace fs = std::filesystem;
+
+constexpr int kCasesPerInput = 10'000;
+
+std::string ReadFileBytes(const fs::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
+
+// Case i applies one mutation, cycling bit flip / truncation / insertion.
+std::string Mutate(const std::string& input, int i, std::mt19937_64& rng) {
+  std::string out = input;
+  const size_t pos = rng() % input.size();
+  switch (i % 3) {
+    case 0:
+      out[pos] = static_cast<char>(out[pos] ^ (1u << (rng() % 8)));
+      break;
+    case 1:
+      out.resize(pos);
+      break;
+    default:
+      out.insert(out.begin() + static_cast<std::ptrdiff_t>(pos), static_cast<char>(rng() % 256));
+      break;
+  }
+  return out;
+}
+
+// Runs kCasesPerInput mutations of `input` through `parse` (which returns
+// whether the text parsed and fills its diagnostic otherwise).
+void FuzzInput(const std::string& name, const std::string& input, uint64_t seed,
+               bool must_reject,
+               const std::function<bool(const std::string&, std::string*)>& parse) {
+  ASSERT_FALSE(input.empty()) << name;
+  std::string error;
+  ASSERT_TRUE(parse(input, &error)) << name << " does not parse unmutated: " << error;
+  std::mt19937_64 rng(seed);
+  int accepted = 0;
+  for (int i = 0; i < kCasesPerInput; ++i) {
+    const std::string mutated = Mutate(input, i, rng);
+    error.clear();
+    if (parse(mutated, &error)) {
+      ++accepted;
+      EXPECT_FALSE(must_reject) << name << " case " << i << " was accepted";
+    } else {
+      EXPECT_FALSE(error.empty()) << name << " case " << i << " failed without a diagnostic";
+    }
+  }
+  ::testing::Test::RecordProperty(name + "_accepted", accepted);
+}
+
+TEST(CodecFuzzTest, MutatedRecordsManifestsAndJournalsNeverCrash) {
+  CorpusApp app = BuildCorpusApp("flakylab");
+  const fs::path dir = fs::path(::testing::TempDir()) / "wasabi_codec_fuzz_test";
+  fs::remove_all(dir);
+  WasabiOptions options;
+  options.app_name = app.name;
+  options.default_configs = app.default_configs;
+  options.record_dir = dir.string();
+  options.robust.chaos.enabled = true;
+  options.robust.chaos.seed = 7;
+  options.robust.chaos.rate = 0.2;
+  options.robust.chaos.env_rate = 0.5;
+  RetryJournal journal;
+  Wasabi wasabi(app.program, *app.index, options);
+  wasabi.set_observability(nullptr, nullptr, nullptr, &journal);
+  ASSERT_TRUE(wasabi.RunDynamicWorkflow().record_error.empty());
+
+  // The first run that backed off after a chaos-faulted attempt, so its
+  // record carries host-failure and backoff events as well.
+  RecordManifest manifest;
+  std::string error;
+  ASSERT_TRUE(LoadRecordManifest(dir.string(), &manifest, &error)) << error;
+  std::string record;
+  for (const RecordManifest::Entry& entry : manifest.runs) {
+    record = ReadFileBytes(dir / RecordFileName(entry.run_id));
+    if (record.find("backoff_wait") != std::string::npos) {
+      break;
+    }
+  }
+  ASSERT_NE(record.find("backoff_wait"), std::string::npos);
+
+  FuzzInput("record", record, 1, /*must_reject=*/true,
+            [](const std::string& text, std::string* diagnostic) {
+              RecordedRun parsed;
+              return ParseRecordedRun(text, &parsed, diagnostic);
+            });
+  FuzzInput("manifest", ReadFileBytes(dir / "MANIFEST.tsv"), 2, /*must_reject=*/true,
+            [](const std::string& text, std::string* diagnostic) {
+              RecordManifest parsed;
+              return ParseRecordManifest(text, &parsed, diagnostic);
+            });
+  FuzzInput("journal", journal.ToJson(app.name), 3, /*must_reject=*/false,
+            [](const std::string& text, std::string* diagnostic) {
+              std::vector<JournalEvent> events;
+              std::string parsed_app;
+              return RetryJournal::ParseJson(text, &events, &parsed_app, diagnostic);
+            });
+  fs::remove_all(dir);
+}
+
+}  // namespace
+}  // namespace wasabi

@@ -45,8 +45,10 @@ TEST(TaskPoolTest, EveryIndexRunsExactlyOnce) {
 }
 
 TEST(TaskPoolTest, PoolIsReusableAcrossJobs) {
+  // Many back-to-back jobs: a helper still leaving the previous job must not
+  // touch the next job's ranges (the pool waits for it before installing).
   TaskPool pool(4);
-  for (int job = 0; job < 50; ++job) {
+  for (int job = 0; job < 50'000; ++job) {
     std::atomic<size_t> sum{0};
     pool.ParallelFor(100, [&](size_t i) { sum.fetch_add(i + 1); });
     EXPECT_EQ(sum.load(), 5050u) << "job " << job;

@@ -6,10 +6,12 @@
 // cold), the JSON export round-trips through the strict parser, and every
 // campaign location surfaces in the derived retry analytics.
 
+#include <cstdint>
 #include <filesystem>
 #include <memory>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -169,6 +171,62 @@ TEST(JournalJsonTest, ExportRoundTripsThroughStrictParser) {
                                        &bad_error));
   EXPECT_FALSE(bad_error.empty());
   EXPECT_FALSE(RetryJournal::ParseJson("not json", &events, &parsed_app, &bad_error));
+}
+
+TEST(JournalJsonTest, OutOfRangeIntegersAreRejectedWithTheirOffset) {
+  JournalEvent event;
+  event.run_id = 3;
+  event.seq = 4;
+  event.test = "T.t";
+  event.location = "loc";
+  event.k = 100;
+  event.attempt = 2;
+  const std::string valid = EncodeJournalEvent(event);
+  JournalEvent decoded;
+  std::string error;
+  ASSERT_TRUE(DecodeJournalEvent(valid, &decoded, &error)) << error;
+  EXPECT_EQ(decoded, event);
+
+  // Each case replaces one field's value; the diagnostic names the field and
+  // the offset where its value starts.
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"\"run\":3", "\"run\":12345678901234567890123"},
+      {"\"run\":3", "\"run\":-1"},
+      {"\"seq\":4", "\"seq\":-5"},
+      {"\"seq\":4", "\"seq\":4294967296"},
+      {"\"k\":100", "\"k\":2147483648"},
+      {"\"attempt\":2", "\"attempt\":-2147483649"},
+      {"\"t_ms\":0", "\"t_ms\":9223372036854775808"},
+      {"\"value\":0", "\"value\":-9223372036854775809"},
+  };
+  for (const auto& [field, replacement] : cases) {
+    std::string text = valid;
+    const size_t at = text.find(field);
+    ASSERT_NE(at, std::string::npos) << field;
+    text.replace(at, field.size(), replacement);
+    const std::string name = field.substr(1, field.find('"', 1) - 1);
+    const size_t offset = at + field.find(':') + 1;
+    EXPECT_FALSE(DecodeJournalEvent(text, &decoded, &error)) << replacement;
+    EXPECT_EQ(error, "'" + name + "' out of range at offset " + std::to_string(offset))
+        << replacement;
+
+    // The same event inside a whole journal fails the same way.
+    const std::string journal =
+        "{\"version\":\"wasabi-journal-v1\",\"app\":\"a\",\"event_count\":1,\"events\":[" +
+        text + "]}";
+    std::vector<JournalEvent> events;
+    std::string app;
+    EXPECT_FALSE(RetryJournal::ParseJson(journal, &events, &app, &error)) << replacement;
+    EXPECT_NE(error.find("'" + name + "' out of range"), std::string::npos) << error;
+  }
+
+  // The extremes of each field's type still decode.
+  std::string extremes = valid;
+  extremes.replace(extremes.find("\"seq\":4"), 7, "\"seq\":4294967295");
+  extremes.replace(extremes.find("\"t_ms\":0"), 8, "\"t_ms\":-9223372036854775808");
+  ASSERT_TRUE(DecodeJournalEvent(extremes, &decoded, &error)) << error;
+  EXPECT_EQ(decoded.seq, 4294967295u);
+  EXPECT_EQ(decoded.t_ms, INT64_MIN);
 }
 
 TEST(JournalAnalyticsTest, EveryCampaignLocationHasRetryStats) {

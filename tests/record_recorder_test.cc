@@ -1,8 +1,7 @@
-// Unit tests for the single-run decision-stream recorder (docs/FLAKINESS.md):
-// serialize/parse round trips, per-run dispatch dedup, injector-skip
-// coalescing, the record-directory store, and — the contract corruption tests
-// ride on — clean rejection of truncated, bit-flipped, and version-skewed
-// record files.
+// Unit tests for single-run record files (docs/FLAKINESS.md): serialize/parse
+// round trips of a run's journal slice, the record-directory store, and — the
+// contract corruption tests ride on — clean rejection of truncated,
+// bit-flipped, and version-skewed record files.
 
 #include "src/record/recorder.h"
 
@@ -19,22 +18,41 @@ namespace {
 
 namespace fs = std::filesystem;
 
-// A representative run touching every event kind.
+// A representative run: a chaos-faulted first attempt, a backoff, and a
+// retried attempt that injects twice and passes.
 RecordedRun MakeRun() {
-  RunRecorder recorder;
-  recorder.BeginRun(7, "FetcherTest.testFetch", "Fetcher.mj:3 Fetcher.fetch ConnectException",
-                    100, /*degraded_env=*/true, /*epoch_ms=*/2000);
-  recorder.Chaos(1, true);
-  recorder.HostFailure(1, "host-exception", "chaos fault (identity 7, attempt 1)");
-  recorder.Backoff(2, 40);
-  recorder.Chaos(2, false);
-  recorder.AttemptBegin(2);
-  recorder.Dispatch(12, "Fetcher", "Fetcher.fetch");
-  recorder.Inject("Fetcher.pull", "Fetcher.fetch", "ConnectException", 1);
-  recorder.Inject("Fetcher.pull", "Fetcher.fetch", "ConnectException", 2);
-  recorder.AttemptEnd(2, "passed");
-  recorder.Verdict("clean");
-  return recorder.Finish();
+  RecordedRun run;
+  run.run_id = 7;
+  run.test = "FetcherTest.testFetch";
+  run.location_key = "Fetcher.mj:3 Fetcher.fetch ConnectException";
+  run.k = 100;
+  run.degraded_env = true;
+  run.verdict = "clean";
+  auto add = [&](JournalEventKind kind, int attempt, int64_t t_ms, int64_t value,
+                 std::string detail) {
+    JournalEvent event;
+    event.run_id = 7;
+    event.seq = static_cast<uint32_t>(run.events.size());
+    event.kind = kind;
+    event.test = run.test;
+    event.location = run.location_key;
+    event.k = run.k;
+    event.attempt = attempt;
+    event.t_ms = t_ms;
+    event.value = value;
+    event.detail = std::move(detail);
+    run.events.push_back(std::move(event));
+  };
+  add(JournalEventKind::kRunBegin, 0, 0, 100, "");
+  add(JournalEventKind::kHostFailure, 1, 0, 1, "host-exception");
+  add(JournalEventKind::kBackoffWait, 2, 0, 40, "");
+  add(JournalEventKind::kAttemptBegin, 2, 0, 0, "");
+  add(JournalEventKind::kInjectFire, 2, 0, 1, "");
+  add(JournalEventKind::kSleep, 2, 0, 50, "");
+  add(JournalEventKind::kInjectFire, 2, 50, 2, "");
+  add(JournalEventKind::kWork, 2, 0, 412, "");
+  add(JournalEventKind::kAttemptEnd, 2, 0, 50, "passed");
+  return run;
 }
 
 TEST(RecordRoundTripTest, SerializeParseIsLossless) {
@@ -49,48 +67,20 @@ TEST(RecordRoundTripTest, SerializeParseIsLossless) {
   EXPECT_EQ(parsed.location_key, "Fetcher.mj:3 Fetcher.fetch ConnectException");
   EXPECT_EQ(parsed.k, 100);
   EXPECT_TRUE(parsed.degraded_env);
-  EXPECT_EQ(parsed.epoch_ms, 2000);
+  EXPECT_EQ(parsed.verdict, "clean");
   EXPECT_EQ(parsed.events, run.events);
   // Re-serializing the parse reproduces the exact bytes: the format is
-  // canonical, so byte comparison of streams is meaningful.
+  // canonical, so byte comparison of records is meaningful.
   EXPECT_EQ(SerializeRecordedRun(parsed), text);
 }
 
-TEST(RecordRoundTripTest, DispatchIsDedupedPerRun) {
-  RunRecorder recorder;
-  recorder.BeginRun(1, "T.t", "loc", 1, false, 0);
-  recorder.Dispatch(5, "A", "A.m");
-  recorder.Dispatch(5, "A", "A.m");  // Same site/receiver: dropped.
-  recorder.Dispatch(5, "B", "B.m");  // Same site, new receiver: kept.
-  recorder.Verdict("clean");
-  RecordedRun run = recorder.Finish();
-  int dispatches = 0;
-  for (const std::string& event : run.events) {
-    if (event.rfind("dispatch\t", 0) == 0) {
-      ++dispatches;
-    }
-  }
-  EXPECT_EQ(dispatches, 2);
-}
-
-TEST(RecordRoundTripTest, ConsecutiveInjectSkipsCoalesce) {
-  RunRecorder recorder;
-  recorder.BeginRun(1, "T.t", "loc", 100, false, 0);
-  for (int i = 0; i < 250; ++i) {
-    recorder.InjectSkip("A.m", "A.coord", "IOException");
-  }
-  recorder.Verdict("clean");
-  RecordedRun run = recorder.Finish();
-  int skip_events = 0;
-  std::string skip_line;
-  for (const std::string& event : run.events) {
-    if (event.rfind("inject-skip\t", 0) == 0) {
-      ++skip_events;
-      skip_line = event;
-    }
-  }
-  EXPECT_EQ(skip_events, 1);
-  EXPECT_NE(skip_line.find("x250"), std::string::npos) << skip_line;
+TEST(RecordRoundTripTest, EventsOfAnotherRunAreRejected) {
+  RecordedRun run = MakeRun();
+  run.events[3].run_id = 8;
+  RecordedRun parsed;
+  std::string error;
+  EXPECT_FALSE(ParseRecordedRun(SerializeRecordedRun(run), &parsed, &error));
+  EXPECT_NE(error.find("record event 3"), std::string::npos) << error;
 }
 
 TEST(RecordCorruptionTest, TruncatedRecordRejected) {
@@ -106,7 +96,7 @@ TEST(RecordCorruptionTest, TruncatedRecordRejected) {
 TEST(RecordCorruptionTest, BitFlipRejected) {
   std::string text = SerializeRecordedRun(MakeRun());
   // Flip one character in an event payload (not in the checksum line).
-  size_t pos = text.find("ConnectException");
+  size_t pos = text.find("inject_fire");
   ASSERT_NE(pos, std::string::npos);
   std::string flipped = text;
   flipped[pos] ^= 0x1;
@@ -123,6 +113,10 @@ TEST(RecordCorruptionTest, VersionSkewRejected) {
   std::string error;
   EXPECT_FALSE(ParseRecordedRun(skewed, &parsed, &error));
   EXPECT_FALSE(error.empty());
+  // A v1 decision-stream record is version skew too, never misread as v2.
+  std::string v1 = "wasabi-record-v1" + text.substr(text.find('\n'));
+  EXPECT_FALSE(ParseRecordedRun(v1, &parsed, &error));
+  EXPECT_NE(error.find("version mismatch"), std::string::npos) << error;
 }
 
 TEST(RecordCorruptionTest, ManifestRoundTripAndVersionSkew) {
@@ -166,7 +160,7 @@ TEST(RecordDirTest, WriteThenLoadRoundTripsAndRejectsDamage) {
 
   RecordedRun loaded_run;
   ASSERT_TRUE(LoadRecordedRun(dir.string(), 7, &loaded_run, &error)) << error;
-  EXPECT_EQ(loaded_run.events, runs[0].events);
+  EXPECT_EQ(loaded_run, runs[0]);
 
   // A missing run id fails with a diagnostic, not a crash.
   EXPECT_FALSE(LoadRecordedRun(dir.string(), 99, &loaded_run, &error));

@@ -108,6 +108,39 @@ TEST(ReplayDeterminismTest, EveryRecordedRunReplaysByteIdentically) {
   fs::remove_all(dir);
 }
 
+TEST(ReplayDeterminismTest, AdmissionSkippedRunsKeepTheirRecordedVerdict) {
+  CorpusApp app = BuildCorpusApp("flakylab");
+  fs::path dir = fs::path(::testing::TempDir()) / "wasabi_replay_skip_test";
+  fs::remove_all(dir);
+  // More host faults and a circuit that opens on a location's second
+  // consecutive failure: a run still waiting to retry when a sibling at its
+  // location opens the circuit is skipped at admission.
+  WasabiOptions options = RecordOptionsFor(app, dir);
+  options.robust.chaos.rate = 0.4;
+  options.robust.breaker_threshold = 2;
+  {
+    Wasabi recorder(app.program, *app.index, options);
+    ASSERT_TRUE(recorder.RunDynamicWorkflow().record_error.empty());
+  }
+  options.record_dir.clear();
+  Wasabi wasabi(app.program, *app.index, options);
+  RecordManifest manifest;
+  std::string error;
+  ASSERT_TRUE(LoadRecordManifest(dir.string(), &manifest, &error)) << error;
+  int skipped = 0;
+  for (const RecordManifest::Entry& entry : manifest.runs) {
+    ReplayOutcome outcome = wasabi.ReplayRun(dir.string(), entry.run_id);
+    ASSERT_TRUE(outcome.ok) << "run " << entry.run_id << ": " << outcome.error;
+    if (!outcome.executed) {
+      ++skipped;
+      EXPECT_EQ(outcome.recorded_verdict, "quarantined");
+      EXPECT_TRUE(outcome.stream_identical && outcome.verdict_identical);
+    }
+  }
+  EXPECT_GT(skipped, 0);
+  fs::remove_all(dir);
+}
+
 TEST(ReplayDeterminismTest, DamagedRecordsAreRejected) {
   CorpusApp app = BuildCorpusApp("flakylab");
   fs::path dir = fs::path(::testing::TempDir()) / "wasabi_replay_damage_test";

@@ -7,6 +7,7 @@
 
 #include <memory>
 #include <string>
+#include <type_traits>
 
 #include "src/inject/injector.h"
 #include "src/lang/diagnostics.h"
@@ -249,8 +250,14 @@ TEST(OracleBoundaries, RethrownSubclassOfTriggerCountsAsDifferentException) {
 
 struct AbortDetailCase {
   AbortReason reason;
+  // gtest names each case after a hex dump of the object's bytes. Implicit
+  // padding would put stack garbage into that name and change it from build
+  // to build, so the padding is a zeroed member instead.
+  char padding[7] = {};
   const char* expected_phrase;
 };
+static_assert(std::has_unique_object_representations_v<AbortDetailCase>,
+              "AbortDetailCase must have no implicit padding");
 
 class AbortReasonDetailSweep : public ::testing::TestWithParam<AbortDetailCase> {};
 
@@ -282,10 +289,12 @@ TEST_P(AbortReasonDetailSweep, TimeoutCapEvidenceNamesTheAbortKind) {
 INSTANTIATE_TEST_SUITE_P(
     Reasons, AbortReasonDetailSweep,
     ::testing::Values(
-        AbortDetailCase{AbortReason::kStepBudget, "exhausted the step budget"},
-        AbortDetailCase{AbortReason::kVirtualTimeBudget,
-                        "exceeded the virtual-time budget"},
-        AbortDetailCase{AbortReason::kStackOverflow, "overflowed the call stack"}));
+        AbortDetailCase{.reason = AbortReason::kStepBudget,
+                        .expected_phrase = "exhausted the step budget"},
+        AbortDetailCase{.reason = AbortReason::kVirtualTimeBudget,
+                        .expected_phrase = "exceeded the virtual-time budget"},
+        AbortDetailCase{.reason = AbortReason::kStackOverflow,
+                        .expected_phrase = "overflowed the call stack"}));
 
 // --- Cause chains: deep wraps and cycles (§4.5 wrapped-exception pruning). ---
 

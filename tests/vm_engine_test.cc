@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <string>
 
@@ -150,6 +151,19 @@ TEST_F(VmEngineTest, DivisionAndModuloByZeroDiagnostics) {
     class C {
       int div() { var a = 7; var b = 0; return a / b; }
       int mod() { var a = 7; var b = 0; return a % b; }
+      int minDiv() { var a = -9223372036854775807 - 1; var b = -1; return a / b; }
+      int minMod() { var a = -9223372036854775807 - 1; var b = -1; return a % b; }
+      int minDivAssign() {
+        var a = -9223372036854775807 - 1; var b = -1; var q = 0; q = a / b; return q;
+      }
+      int minModAssign() {
+        var a = -9223372036854775807 - 1; var b = -1; var r = 7; r = a % b; return r;
+      }
+      int minDivLiteral() { return (-9223372036854775807 - 1) / -1; }
+      int min() { return -9223372036854775807 - 1; }
+      int minusOne() { return -1; }
+      int minDivCalls() { return this.min() / this.minusOne(); }
+      int minModCalls() { return this.min() % this.minusOne(); }
     }
   )");
   Outcome division = RunBoth("C.div");
@@ -159,6 +173,14 @@ TEST_F(VmEngineTest, DivisionAndModuloByZeroDiagnostics) {
   Outcome modulo = RunBoth("C.mod");
   EXPECT_TRUE(modulo.threw);
   EXPECT_EQ(modulo.exception_message, "modulo by zero");
+  // Long.MIN_VALUE / -1 and % -1 follow Java `long` semantics under every
+  // division path of both engines instead of trapping the host.
+  for (const char* method : {"C.minDiv", "C.minDivAssign", "C.minDivLiteral", "C.minDivCalls"}) {
+    EXPECT_EQ(AsIntOrDie(RunBoth(method)), INT64_MIN) << method;
+  }
+  for (const char* method : {"C.minMod", "C.minModAssign", "C.minModCalls"}) {
+    EXPECT_EQ(AsIntOrDie(RunBoth(method)), 0) << method;
+  }
 }
 
 TEST_F(VmEngineTest, UndefinedVariableReadAndWriteDiagnostics) {

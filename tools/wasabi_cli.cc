@@ -59,14 +59,15 @@
 //                                     campaign verdict N times under clock
 //                                     perturbation and classify it {stable,
 //                                     flaky, chaos-induced} (docs/FLAKINESS.md)
-//   --record DIR                      record every campaign run's decision
-//                                     stream (chaos/backoff/injection/dispatch
-//                                     events) into DIR; output-neutral
+//   --record DIR                      record every campaign run's slice of
+//                                     the retry journal (attempts, injections,
+//                                     sleeps, backoff, host failures) and its
+//                                     verdict into DIR; output-neutral
 //   --replay ID                       test/analyze only: replay the single
 //                                     recorded run ID from --record DIR in
-//                                     isolation and compare the decision
-//                                     stream and verdict byte-for-byte (pass
-//                                     the same flags as the recording run)
+//                                     isolation and compare its journal events
+//                                     and verdict with the record (pass the
+//                                     same flags as the recording run)
 //   --cache-dir=DIR                   memoize per-file analysis, coverage, and
 //                                     campaign verdicts under DIR keyed by
 //                                     content digests (docs/CACHING.md);
@@ -765,8 +766,8 @@ WasabiOptions DynamicOptionsFor(const fs::path& root, const CliOptions& cli) {
 }
 
 // Replays one recorded run in isolation (docs/FLAKINESS.md). Exit 0 when the
-// replayed decision stream and verdict are byte-identical to the record, 1 on
-// any divergence or load failure.
+// replayed journal events and verdict are identical to the record, 1 on any
+// divergence or load failure.
 int Replay(const fs::path& root, const CliOptions& cli) {
   mj::Program program;
   std::vector<SkippedFile> skipped;
