@@ -7,9 +7,9 @@
 //
 // Overhead: the full dynamic workflow over all corpus applications with the
 // prober off versus N in {1, 2, 4} repetitions, all at full parallelism. The
-// prober reuses the campaign's warm per-worker arenas, so the marginal cost
-// per repetition is the probe reruns themselves, not re-setup — the ratio
-// column makes that visible. A JSON record (first argument, default
+// prober runs on the campaign runner's warm per-worker interpreters, so the
+// marginal cost per repetition is the probe reruns themselves, not re-setup —
+// the ratio column makes that visible. A JSON record (first argument, default
 // flakiness_probe.json) captures both halves for CI tracking.
 
 #include <chrono>

@@ -99,6 +99,9 @@ void BM_SimLlmAnalyzeApp(benchmark::State& state) {
 BENCHMARK(BM_SimLlmAnalyzeApp);
 
 void BM_RunCleanTestSuite(benchmark::State& state, EngineKind engine) {
+  // The runner's warm interpreter serves every run after the first (warm
+  // frames + dispatch cache + compiled bytecode, ResetForRun isolation): the
+  // configuration every campaign, coverage pass, and repair validation uses.
   const CorpusApp& app = SampleCorpusApp();
   RunnerOptions options;
   options.interp.engine = engine;
@@ -126,34 +129,6 @@ void BM_RunCleanTestSuite(benchmark::State& state, EngineKind engine) {
 // tree-walker numbers the earlier hot-path PRs recorded.
 BENCHMARK_CAPTURE(BM_RunCleanTestSuite, vm, EngineKind::kVm);
 BENCHMARK_CAPTURE(BM_RunCleanTestSuite, tree, EngineKind::kTree);
-
-void BM_RunCleanTestSuiteArena(benchmark::State& state, EngineKind engine) {
-  // Same workload through a per-worker arena: the campaign executors' hot
-  // configuration (warm frames + dispatch cache, ResetForRun isolation).
-  const CorpusApp& app = SampleCorpusApp();
-  RunnerOptions options;
-  options.interp.engine = engine;
-  options.config_overrides = app.default_configs;
-  TestRunner runner(app.program, *app.index, options);
-  std::vector<TestCase> tests = runner.DiscoverTests();
-  InterpreterArena arena;
-  int64_t steps = 0;
-  for (auto _ : state) {
-    int passed = 0;
-    for (const TestCase& test : tests) {
-      TestRunRecord record = runner.RunTest(test, {}, &arena);
-      passed += record.outcome.status == TestStatus::kPassed ? 1 : 0;
-      steps += record.steps;
-    }
-    benchmark::DoNotOptimize(passed);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(tests.size()));
-  state.counters["steps_per_sec"] =
-      benchmark::Counter(static_cast<double>(steps), benchmark::Counter::kIsRate);
-}
-BENCHMARK_CAPTURE(BM_RunCleanTestSuiteArena, vm, EngineKind::kVm);
-BENCHMARK_CAPTURE(BM_RunCleanTestSuiteArena, tree, EngineKind::kTree);
 
 void BM_InjectedTestSuite(benchmark::State& state) {
   // The whole suite with a K=100 injector armed on the shared RPC client —
@@ -254,9 +229,9 @@ BENCHMARK_CAPTURE(BM_InterpreterArithmeticThroughput, vm, EngineKind::kVm);
 BENCHMARK_CAPTURE(BM_InterpreterArithmeticThroughput, tree, EngineKind::kTree);
 
 void BM_InterpreterArenaReuseThroughput(benchmark::State& state, EngineKind engine) {
-  // Same hot loop, but reusing one interpreter via ResetForRun the way a
-  // campaign worker does — isolates the per-run construction overhead the
-  // arena removes.
+  // Same hot loop, but reusing one interpreter via ResetForRun the way
+  // TestRunner does for each worker — isolates the per-run construction
+  // overhead that reuse removes.
   mj::DiagnosticEngine diag;
   mj::Program program;
   program.AddUnit(mj::ParseSource("hot.mj", R"(

@@ -104,9 +104,9 @@ echo "warm cache: byte-identical to cache-off at 1/2/4/8 workers"
 # ThreadSanitizer pass over the campaign-executor concurrency tests (label
 # "exec") plus the interpreter-overhaul golden-equivalence/resolver tests
 # (label "perf", which re-prove byte-identical campaign output with the
-# per-worker interpreter arenas under TSan) and the flakiness-prober/replay
-# suites (labels "flaky"/"replay", whose probe reruns share the campaign's
-# warm arenas across workers; see docs/FLAKINESS.md) and the retry-journal
+# runner's per-worker warm interpreters under TSan) and the flakiness-prober/
+# replay suites (labels "flaky"/"replay", whose probe reruns run on the
+# campaign runner's warm interpreters; see docs/FLAKINESS.md) and the retry-journal
 # suite (label "obsjournal", whose per-thread journal buffers are written by
 # 8 campaign workers and merged at collect time; see docs/OBSERVABILITY.md)
 # and the bytecode-VM suites (label "vm", whose compiled chunks are shared
@@ -129,7 +129,7 @@ fi
 # AddressSanitizer pass over the fault-containment tests (label "robust":
 # exception capture, quarantine bookkeeping, degraded-mode parsing — the
 # lifetime-sensitive paths; see docs/ROBUSTNESS.md) plus the "perf" golden
-# tests, which exercise the interner's string_view tokens and the arena's
+# tests, which exercise the interner's string_view tokens and the runner's
 # frame reuse — the overhaul's lifetime-sensitive surface — plus the "fuzz"
 # grammar fuzzer (500 random programs through lexer/parser/printer/interpreter)
 # and the "cache" suites (corruption-fallback paths parse hostile bytes; see

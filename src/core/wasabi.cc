@@ -157,7 +157,7 @@ uint64_t DigestDynamicConfig(const WasabiOptions& options) {
   // The engine is proven byte-identical, but it still participates: a cached
   // verdict should always be reproducible under the exact configuration that
   // produced it, and digesting it keeps an engine regression from hiding
-  // behind warm cache hits after an --engine switch.
+  // behind warm cache hits after an engine switch.
   hash = mj::Fnv1a64Mix(static_cast<uint64_t>(options.interp.engine), hash);
   hash = mj::Fnv1a64Mix(options.default_configs.size(), hash);
   for (const auto& [key, value] : options.default_configs) {
@@ -682,9 +682,10 @@ DynamicResult Wasabi::RunDynamicWorkflow() {
   std::vector<TestCase> tests = runner.DiscoverTests();
   result.total_tests = tests.size();
 
-  // Worker pool shared by the coverage pass and the injection campaign. Every
-  // run builds a fresh Interpreter over the shared immutable Program/index,
-  // so the only cross-run state is read-only.
+  // Worker pool shared by the coverage pass, the injection campaign, and the
+  // prober. Each worker runs on its own warm interpreter from `runner`, reset
+  // to fresh-run state per run over the shared immutable Program/index, so
+  // the only cross-run state is read-only.
   TaskPool pool(options_.jobs);
   result.jobs_used = pool.worker_count();
   CampaignObs obs{options_.tracer, options_.metrics, options_.progress, options_.journal};
@@ -760,9 +761,6 @@ DynamicResult Wasabi::RunDynamicWorkflow() {
   phase_start = Clock::now();
   std::vector<CampaignRunResult> campaign;
   std::vector<OracleReport> all_reports;
-  // Per-worker arena pool shared by the campaign and the flakiness prober, so
-  // probe reruns reuse the campaign's warm interpreters.
-  std::vector<InterpreterArena> arenas(static_cast<size_t>(pool.worker_count()));
   // Record mode writes each run's slice of the campaign journal: the
   // caller's, or a private one when none is attached.
   const bool recording = !options_.record_dir.empty();
@@ -829,7 +827,7 @@ DynamicResult Wasabi::RunDynamicWorkflow() {
       }
       CampaignOutcome campaign_outcome =
           ExecuteCampaignRobust(runner, result.locations, specs, pool, options_.robust,
-                                campaign_obs, &arenas);
+                                campaign_obs);
       campaign = std::move(campaign_outcome.results);
       if (cache_context.enabled()) {
         cached_campaign.runs.assign(specs.size(), CachedRunVerdict{});
@@ -872,8 +870,9 @@ DynamicResult Wasabi::RunDynamicWorkflow() {
     oracle_span.reset();
 
     // Flakiness prober (docs/FLAKINESS.md): classify every failing verdict by
-    // re-executing it under virtual-clock perturbation on the warm arenas,
-    // then let SimLLM judge a root cause for the non-stable classes.
+    // re-executing it under virtual-clock perturbation on the campaign
+    // runner's warm interpreters, then let SimLLM judge a root cause for the
+    // non-stable classes.
     if (options_.prober.enabled() && options_.use_oracles) {
       std::vector<ProbeRequest> requests;
       for (size_t i = 0; i < specs.size(); ++i) {
@@ -894,7 +893,7 @@ DynamicResult Wasabi::RunDynamicWorkflow() {
         }
         std::vector<ProbeResult> probe_results =
             ProbeFailingRuns(runner, result.locations, specs, requests, options_.robust.chaos,
-                             options_.oracles, options_.prober, pool, &arenas, obs);
+                             options_.oracles, options_.prober, pool, obs);
         if (options_.progress != nullptr) {
           options_.progress->Finish();
         }

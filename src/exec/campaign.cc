@@ -31,10 +31,6 @@ std::vector<CampaignRunResult> ExecuteCampaign(const TestRunner& runner,
                                                const std::vector<CampaignRunSpec>& specs,
                                                TaskPool& pool, const CampaignObs& obs) {
   std::vector<CampaignRunResult> results(specs.size());
-  // One warm interpreter per worker, reused across that worker's runs
-  // (docs/PERFORMANCE.md). Each arena is touched by exactly one worker at a
-  // time, so no locking.
-  std::vector<InterpreterArena> arenas(static_cast<size_t>(pool.worker_count()));
   pool.ParallelFor(specs.size(), [&](size_t i) {
     const CampaignRunSpec& spec = specs[i];
     const RetryLocation& location = locations[spec.location_index];
@@ -52,8 +48,7 @@ std::vector<CampaignRunResult> ExecuteCampaign(const TestRunner& runner,
     result.id = spec.id;
     result.location_index = spec.location_index;
     result.k = spec.k;
-    result.record = runner.RunTest(spec.test, {&injector},
-                                   &arenas[static_cast<size_t>(TaskPool::CurrentWorker())]);
+    result.record = runner.RunTest(spec.test, {&injector});
     if (obs.progress != nullptr) {
       obs.progress->Tick();
     }
@@ -81,13 +76,11 @@ CoverageMap MapCoverageParallel(const TestRunner& runner, const std::vector<Test
                                 const std::vector<RetryLocation>& locations, TaskPool& pool,
                                 const CampaignObs& obs) {
   std::vector<std::vector<size_t>> hits(tests.size());
-  std::vector<InterpreterArena> arenas(static_cast<size_t>(pool.worker_count()));
   pool.ParallelFor(tests.size(), [&](size_t i) {
     ScopedSpan span(obs.tracer, "coverage.run");
     span.AddArg("test", tests[i].qualified_name);
     CoverageRecorder recorder(&locations);
-    runner.RunTest(tests[i], {&recorder},
-                   &arenas[static_cast<size_t>(TaskPool::CurrentWorker())]);
+    runner.RunTest(tests[i], {&recorder});
     hits[i] = recorder.hits();
     if (obs.progress != nullptr) {
       obs.progress->Tick();
@@ -171,17 +164,13 @@ struct JournalLoopObserver : LoopObserver {
 CampaignOutcome ExecuteCampaignRobust(const TestRunner& runner,
                                       const std::vector<RetryLocation>& locations,
                                       const std::vector<CampaignRunSpec>& specs, TaskPool& pool,
-                                      const RobustnessOptions& options, const CampaignObs& obs,
-                                      std::vector<InterpreterArena>* arenas) {
+                                      const RobustnessOptions& options, const CampaignObs& obs) {
   CampaignOutcome outcome;
   RobustnessStats& stats = outcome.robustness;
   std::vector<CampaignRunResult> results(specs.size());
   std::vector<int> attempts(specs.size(), 0);
   std::vector<char> completed(specs.size(), 0);
-  std::vector<InterpreterArena> local_arenas(
-      arenas != nullptr ? 0 : static_cast<size_t>(pool.worker_count()));
-  std::vector<InterpreterArena>& arena_pool = arenas != nullptr ? *arenas : local_arenas;
-  CircuitBreaker breaker(options.breaker_threshold, options.breaker_cooldown);
+  CircuitBreaker breaker(options.breaker_threshold);
 
   // One journal handle per spec, begun up front so even never-admitted runs
   // get a complete slice. A handle is touched by at most one worker per wave
@@ -293,9 +282,7 @@ CampaignOutcome ExecuteCampaignRobust(const TestRunner& runner,
           result.id = spec.id;
           result.location_index = spec.location_index;
           result.k = spec.k;
-          result.record = runner.RunTest(
-              spec.test, {&injector},
-              &arena_pool[static_cast<size_t>(TaskPool::CurrentWorker())], perturbation);
+          result.record = runner.RunTest(spec.test, {&injector}, perturbation);
           if (jr != nullptr) {
             // Derive the attempt's retry timeline from run-private data (the
             // execution log preserves fire/sleep interleaving in virtual-time
@@ -402,7 +389,6 @@ std::vector<CoverageRunOutcome> ExecuteCoverageRuns(
     const RobustnessOptions& options, const CampaignObs& obs,
     const std::vector<size_t>& original_indices) {
   std::vector<CoverageRunOutcome> per_test(tests.size());
-  std::vector<InterpreterArena> arenas(static_cast<size_t>(pool.worker_count()));
 
   std::vector<size_t> wave(tests.size());
   for (size_t i = 0; i < tests.size(); ++i) {
@@ -420,8 +406,7 @@ std::vector<CoverageRunOutcome> ExecuteCoverageRuns(
           }
           ChaosMaybeFault(options.chaos, CoverageChaosIdentity(original_indices[i]), attempt);
           CoverageRecorder recorder(&locations);
-          runner.RunTest(tests[i], {&recorder},
-                         &arenas[static_cast<size_t>(TaskPool::CurrentWorker())]);
+          runner.RunTest(tests[i], {&recorder});
           per_test[i].hits = recorder.hits();
           if (obs.progress != nullptr) {
             obs.progress->Tick();

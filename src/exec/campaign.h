@@ -3,9 +3,10 @@
 // The planner emits {test, location} pairs; each pair is executed under every
 // K setting, so a campaign is a flat list of independent runs. Runs share only
 // immutable state — the parsed Program and its ProgramIndex are built once and
-// never mutated after construction — while every run gets a fresh Interpreter
-// (own environment, virtual clock, singletons, execution log) and its own
-// FaultInjector, so workers never share a mutable sink.
+// never mutated after construction — while every run gets fresh interpreter
+// state (own environment, virtual clock, singletons, execution log) on its
+// worker's warm interpreter (TestRunner) and its own FaultInjector, so
+// workers never share a mutable sink.
 //
 // Determinism: every run carries a stable id assigned in expansion order
 // (plan-entry-major, K-minor). The reducer orders results by that id before
@@ -109,17 +110,13 @@ struct CampaignOutcome {
   RobustnessStats robustness;
 };
 
-// `arenas`, when non-null, are caller-owned per-worker arenas (size >=
-// pool.worker_count()); sharing them lets the flakiness prober reuse the
-// campaign's warm interpreters (docs/FLAKINESS.md). Null falls back to
-// executor-local arenas. A journal in `obs` receives every run's campaign
-// stream, which is also what record mode writes and replay compares.
+// A journal in `obs` receives every run's campaign stream, which is also what
+// record mode writes and replay compares.
 CampaignOutcome ExecuteCampaignRobust(const TestRunner& runner,
                                       const std::vector<RetryLocation>& locations,
                                       const std::vector<CampaignRunSpec>& specs, TaskPool& pool,
                                       const RobustnessOptions& options,
-                                      const CampaignObs& obs = {},
-                                      std::vector<InterpreterArena>* arenas = nullptr);
+                                      const CampaignObs& obs = {});
 
 // Fault-contained coverage discovery: a test whose coverage run keeps failing
 // at the host level is quarantined (location "<coverage>") and simply covers

@@ -24,16 +24,15 @@ namespace {
 // Executes one probe rerun of `spec` and returns the rerun's report
 // signature. Throws whatever the host run throws (caller contains it).
 std::string ProbeSignature(const TestRunner& runner, const RetryLocation& location,
-                           const CampaignRunSpec& spec, InterpreterArena* arena,
-                           const OracleOptions& oracles, int64_t epoch_ms,
-                           bool degraded_env) {
+                           const CampaignRunSpec& spec, const OracleOptions& oracles,
+                           int64_t epoch_ms, bool degraded_env) {
   FaultInjector injector({InjectionPoint{location.retried_method, location.coordinator,
                                          location.exception_name, spec.k}},
                          nullptr);
   RunPerturbation perturbation;
   perturbation.virtual_clock_epoch_ms = epoch_ms;
   perturbation.chaos_degraded_env = degraded_env;
-  TestRunRecord record = runner.RunTest(spec.test, {&injector}, arena, perturbation);
+  TestRunRecord record = runner.RunTest(spec.test, {&injector}, perturbation);
   return OracleSignature(
       DeduplicateReports(EvaluateOracles(record, location, oracles)));
 }
@@ -47,16 +46,11 @@ std::vector<ProbeResult> ProbeFailingRuns(const TestRunner& runner,
                                           const ChaosConfig& chaos,
                                           const OracleOptions& oracles,
                                           const ProberOptions& options, TaskPool& pool,
-                                          std::vector<InterpreterArena>* arenas,
                                           const CampaignObs& obs) {
   std::vector<ProbeResult> results(requests.size());
   if (requests.empty() || !options.enabled()) {
     return results;
   }
-  std::vector<InterpreterArena> local_arenas(
-      arenas != nullptr ? 0 : static_cast<size_t>(pool.worker_count()));
-  std::vector<InterpreterArena>& arena_pool = arenas != nullptr ? *arenas : local_arenas;
-
   // One journal handle per request; begun serially here (deterministic order),
   // repetitions appended by the single worker that owns the request's task,
   // verdicts appended by the serial reduce below.
@@ -72,7 +66,7 @@ std::vector<ProbeResult> ProbeFailingRuns(const TestRunner& runner,
   }
 
   // Each request's probing is one self-contained task: its repetitions run
-  // serially on one worker (reusing that worker's warm arena), so worker
+  // serially on one worker (on that worker's warm interpreter), so worker
   // count never changes the classification. Host failures inside a probe are
   // contained per request (captured, counted, fall back to stable) — a broken
   // probe must not kill the campaign that already produced its verdicts.
@@ -81,8 +75,6 @@ std::vector<ProbeResult> ProbeFailingRuns(const TestRunner& runner,
         const ProbeRequest& request = requests[r];
         const CampaignRunSpec& spec = specs[request.run_id];
         const RetryLocation& location = locations[spec.location_index];
-        InterpreterArena* arena =
-            &arena_pool[static_cast<size_t>(TaskPool::CurrentWorker())];
         ScopedSpan span(obs.tracer, "probe.run");
         span.AddArg("run_id", static_cast<int64_t>(request.run_id));
         span.AddArg("test", spec.test.qualified_name);
@@ -96,7 +88,7 @@ std::vector<ProbeResult> ProbeFailingRuns(const TestRunner& runner,
         for (int rep = 1; rep <= options.repetitions; ++rep) {
           ++result.repetitions;
           std::string signature =
-              ProbeSignature(runner, location, spec, arena, oracles,
+              ProbeSignature(runner, location, spec, oracles,
                              static_cast<int64_t>(rep) * options.epoch_stride_ms, degraded);
           diverged = signature != request.baseline_signature;
           if (jr != nullptr) {
@@ -114,7 +106,7 @@ std::vector<ProbeResult> ProbeFailingRuns(const TestRunner& runner,
             // Counterfactual: original epoch, degradation off. If the verdict
             // vanishes, the environment caused it.
             ++result.repetitions;
-            std::string signature = ProbeSignature(runner, location, spec, arena, oracles,
+            std::string signature = ProbeSignature(runner, location, spec, oracles,
                                                    /*epoch_ms=*/0, /*degraded_env=*/false);
             const bool vanished = signature != request.baseline_signature;
             if (jr != nullptr) {

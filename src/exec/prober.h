@@ -2,8 +2,8 @@
 //
 // After the injection campaign and oracle evaluation, every FAILING verdict
 // (a completed run with at least one oracle report) is re-executed N times
-// with a perturbed virtual-clock epoch, reusing the campaign's warm per-worker
-// InterpreterArenas. The rerun report signatures decide the verdict's
+// with a perturbed virtual-clock epoch, on the campaign runner's warm
+// per-worker interpreters. The rerun report signatures decide the verdict's
 // stability class:
 //   * any divergence under timing perturbation            -> flaky
 //   * reproduces, but only in the chaos-degraded env      -> chaos-induced
@@ -60,11 +60,10 @@ struct ProbeResult {
 };
 
 // Probes every request and returns results in request order (the caller
-// passes requests id-ordered). `arenas` may be the campaign's warm arena pool
-// (size >= pool.worker_count()); null uses prober-local arenas. Probe runs
-// never pass the host-level chaos fault seam — `chaos` is consulted only for
-// the degraded-environment draw. Emits a "probe.run" span per request and the
-// flaky.* metric family at reduce time.
+// passes requests id-ordered). Passing the campaign's runner reuses its warm
+// interpreters. Probe runs never pass the host-level chaos fault seam —
+// `chaos` is consulted only for the degraded-environment draw. Emits a
+// "probe.run" span per request and the flaky.* metric family at reduce time.
 std::vector<ProbeResult> ProbeFailingRuns(const TestRunner& runner,
                                           const std::vector<RetryLocation>& locations,
                                           const std::vector<CampaignRunSpec>& specs,
@@ -72,7 +71,6 @@ std::vector<ProbeResult> ProbeFailingRuns(const TestRunner& runner,
                                           const ChaosConfig& chaos,
                                           const OracleOptions& oracles,
                                           const ProberOptions& options, TaskPool& pool,
-                                          std::vector<InterpreterArena>* arenas,
                                           const CampaignObs& obs = {});
 
 }  // namespace wasabi

@@ -7,7 +7,7 @@ namespace wasabi {
 
 namespace {
 // Written at task-execution entry points (RunJob, the serial fast path), read
-// by task bodies that key per-worker state (e.g. interpreter arenas).
+// by task bodies that key per-worker state (e.g. TestRunner's warm interpreters).
 thread_local int current_worker = 0;
 }  // namespace
 

@@ -123,8 +123,6 @@ struct InterpOptions {
   int64_t virtual_time_budget_ms = 15LL * 60 * 1000;  // The paper's 15 minutes.
   int max_call_depth = 200;
   EngineKind engine = EngineKind::kVm;
-
-  bool operator==(const InterpOptions&) const = default;
 };
 
 class Interpreter {
@@ -182,8 +180,8 @@ class Interpreter {
   // Restores the observable state of a freshly-constructed interpreter while
   // keeping warm storage: pooled frames retain their slot-vector capacity and
   // the dispatch cache survives (it is a pure function of the immutable
-  // program). Used by InterpreterArena for per-worker run reuse
-  // (docs/PERFORMANCE.md).
+  // program). TestRunner calls it each time it hands a worker's warm
+  // interpreter to a run (docs/PERFORMANCE.md).
   void ResetForRun();
 
  private:
@@ -349,7 +347,7 @@ class Interpreter {
   std::vector<DispatchEntry> dispatch_cache_;  // Indexed by CallExpr::site_index.
   // Bytecode for every method body (null when engine == kTree). Compiled once
   // at construction — a pure function of the immutable shared program, like
-  // the dispatch cache — so it survives ResetForRun and arena reuse.
+  // the dispatch cache — so it survives ResetForRun and runner reuse.
   std::shared_ptr<const vm::CompiledProgram> compiled_;
   // Pooled VM operand stacks, indexed by VM invocation depth (a callee's VM
   // run nests inside its caller's). Same warm-capacity discipline as

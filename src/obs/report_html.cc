@@ -102,15 +102,6 @@ void SvgLine(std::string* out, double x1, double y1, double x2, double y2) {
           "\" y2=\"" + FmtCoord(y2) + "\" stroke=\"var(--axis)\" stroke-width=\"1\"/>";
 }
 
-// Truncates a location key for strip labels; the full key lives in the
-// heading and every tooltip.
-std::string ShortLabel(const std::string& text, size_t max) {
-  if (text.size() <= max) {
-    return EscapeHtml(text);
-  }
-  return EscapeHtml("…" + text.substr(text.size() - (max - 1)));
-}
-
 void StatTile(std::string* out, const std::string& label, const std::string& value,
               const std::string& note) {
   *out += "<div class=\"tile\"><div class=\"tile-label\">" + label +

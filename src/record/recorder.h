@@ -5,7 +5,7 @@
 // steps, coordinator loop iterations, injection fires and skips, sleeps,
 // backoff waits, host failures, breaker opens, and the quarantine, if any —
 // plus the verdict the oracles reached. The slice is a pure function of the
-// run (not of worker count, arena warmth, or cache state), which is what
+// run (not of worker count, interpreter reuse, or cache state), which is what
 // makes a recorded run independently replayable: re-executing the same
 // (run_id, test, location, k) spec under the same configuration must
 // reproduce the events exactly.

@@ -48,13 +48,16 @@ struct PipelineRun {
   std::map<std::string, TestStatus> clean;   // Test -> uninjected outcome.
 };
 
-std::map<std::string, TestStatus> RunCleanSuite(const mj::Program& program,
-                                                const mj::ProgramIndex& index,
-                                                const WasabiOptions& options) {
+// The runner for one program's validation runs (clean suite and K=1 probes):
+// the pipeline's interpreter budgets and default configs, nothing frozen.
+RunnerOptions ValidationRunnerOptions(const WasabiOptions& options) {
   RunnerOptions runner_options;
   runner_options.interp = options.interp;
   runner_options.config_overrides = options.default_configs;
-  TestRunner runner(program, index, runner_options);
+  return runner_options;
+}
+
+std::map<std::string, TestStatus> RunCleanSuite(const TestRunner& runner) {
   std::map<std::string, TestStatus> outcomes;
   for (const TestCase& test : runner.DiscoverTests()) {
     outcomes[test.qualified_name] = runner.RunTest(test).outcome.status;
@@ -62,8 +65,10 @@ std::map<std::string, TestStatus> RunCleanSuite(const mj::Program& program,
   return outcomes;
 }
 
+// `runner` is the program's validation runner; it runs the clean suite.
 PipelineRun RunPipelineOnce(const mj::Program& program, const mj::ProgramIndex& index,
-                            const WasabiOptions& options, const StormOptions& storm_options) {
+                            const WasabiOptions& options, const StormOptions& storm_options,
+                            const TestRunner& runner) {
   PipelineRun run;
   Wasabi wasabi(program, index, options);
   run.dyn = wasabi.RunDynamicWorkflow();
@@ -98,7 +103,7 @@ PipelineRun RunPipelineOnce(const mj::Program& program, const mj::ProgramIndex& 
               }
               return std::string(BugTypeName(a.type)) < BugTypeName(b.type);
             });
-  run.clean = RunCleanSuite(program, index, options);
+  run.clean = RunCleanSuite(runner);
   return run;
 }
 
@@ -211,12 +216,7 @@ std::vector<SingleFaultProbe> PlanSingleFaultProbes(const DynamicResult& baselin
   return probes;
 }
 
-TestStatus RunSingleFaultProbe(const mj::Program& program, const mj::ProgramIndex& index,
-                               const WasabiOptions& options, const SingleFaultProbe& probe) {
-  RunnerOptions runner_options;
-  runner_options.interp = options.interp;
-  runner_options.config_overrides = options.default_configs;
-  TestRunner runner(program, index, runner_options);
+TestStatus RunSingleFaultProbe(const TestRunner& runner, const SingleFaultProbe& probe) {
   FaultInjector injector({probe.point});
   return runner.RunTest(TestCase{probe.test}, {&injector}).outcome.status;
 }
@@ -253,7 +253,11 @@ RepairReport RunRepair(const mj::Program& program, const mj::ProgramIndex& index
   RepairReport report;
   report.app = options.wasabi.app_name;
 
-  PipelineRun baseline = RunPipelineOnce(program, index, options.wasabi, options.storm);
+  // One validation runner per program: the pristine one serves the baseline
+  // clean suite and every bug's pre-patch probes.
+  TestRunner pristine_runner(program, index, ValidationRunnerOptions(options.wasabi));
+  PipelineRun baseline =
+      RunPipelineOnce(program, index, options.wasabi, options.storm, pristine_runner);
   WasabiOptions validation_options = SanitizeForValidation(options.wasabi);
   SimRepair sim(options.sim);
 
@@ -357,7 +361,9 @@ RepairReport RunRepair(const mj::Program& program, const mj::ProgramIndex& index
     ++report.totals.patched;
 
     mj::ProgramIndex patched_index(patched);
-    PipelineRun post = RunPipelineOnce(patched, patched_index, validation_options, options.storm);
+    TestRunner patched_runner(patched, patched_index, ValidationRunnerOptions(validation_options));
+    PipelineRun post = RunPipelineOnce(patched, patched_index, validation_options, options.storm,
+                                       patched_runner);
 
     // Signal 1: verdict diff over the repair universe.
     bool target_gone = post.keys.count(bug.MatchKey()) == 0;
@@ -388,13 +394,12 @@ RepairReport RunRepair(const mj::Program& program, const mj::ProgramIndex& index
     if (row.tmpl != RepairTemplate::kShedOnOverload) {
       for (const SingleFaultProbe& probe :
            PlanSingleFaultProbes(baseline.dyn, bug.coordinator)) {
-        TestStatus pre = RunSingleFaultProbe(program, index, validation_options, probe);
+        TestStatus pre = RunSingleFaultProbe(pristine_runner, probe);
         if (pre != TestStatus::kPassed) {
           // This fault was never absorbed pre-patch; it carries no signal.
           continue;
         }
-        TestStatus after =
-            RunSingleFaultProbe(patched, patched_index, validation_options, probe);
+        TestStatus after = RunSingleFaultProbe(patched_runner, probe);
         if (after != TestStatus::kPassed) {
           single_fault_regressed = true;
           regressed_probe_test = probe.test;

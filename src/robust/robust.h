@@ -23,12 +23,9 @@ namespace wasabi {
 struct RobustnessOptions {
   RetryPolicy retry;
   // Consecutive infrastructure failures per location before its circuit
-  // opens; <= 0 disables the breaker.
+  // opens; <= 0 disables the breaker. An open campaign circuit never
+  // half-opens: quarantine is final (docs/ROBUSTNESS.md).
   int breaker_threshold = 8;
-  // Shed admissions before an open circuit half-opens and admits one probe
-  // (CircuitBreaker::Admit); <= 0 means an open circuit never recovers. The
-  // campaign keeps 0 (quarantine is final); the storm simulator sets it.
-  int breaker_cooldown = 0;
   ChaosConfig chaos;
   // Stop scheduling new waves after the first quarantined run.
   bool fail_fast = false;

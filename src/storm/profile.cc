@@ -6,7 +6,7 @@
 
 #include "src/exec/task_pool.h"
 #include "src/interp/exec_log.h"
-#include "src/interp/interpreter.h"
+#include "src/testing/runner.h"
 
 namespace wasabi {
 namespace {
@@ -18,10 +18,12 @@ constexpr size_t kMaxRecordedBackoffs = 8;
 // Small budgets: a probe only needs to see the loop give up or prove it
 // won't. An unbounded loop with sleeps trips the virtual-time budget; one
 // without sleeps trips the step budget. Either abort reason means unbounded.
-InterpOptions ProbeOptions() {
-  InterpOptions options;
-  options.step_budget = 300'000;
-  options.virtual_time_budget_ms = 20'000;
+// Probe runs see `storm.request.id` = `request_id`.
+RunnerOptions ProbeOptions(int64_t request_id) {
+  RunnerOptions options;
+  options.interp.step_budget = 300'000;
+  options.interp.virtual_time_budget_ms = 20'000;
+  options.config_overrides = {{"storm.request.id", Value{request_id}}};
   return options;
 }
 
@@ -52,29 +54,21 @@ class SendProbe : public CallInterceptor {
 
 struct ProbeResult {
   int64_t send_fires = 0;
-  bool completed = false;  // handle() returned or threw an mj exception.
-  bool aborted = false;    // Step/virtual-time budget: the loop never gives up.
+  bool aborted = false;  // Step/virtual-time budget: the loop never gives up.
   std::vector<int64_t> sleeps_ms;
 };
 
-ProbeResult RunProbe(const mj::Program& program, const mj::ProgramIndex& index,
-                     const std::string& service, const std::string& exception,
-                     int64_t request_id) {
-  ProbeResult result;
-  Interpreter interp(program, index, ProbeOptions());
-  interp.SetConfig("storm.request.id", Value{request_id});
+// One probe: `service`.handle() with every send throwing `exception`. The
+// runner's options carry the probe budgets and the request identity. Giving
+// up by (re)throwing still completes, i.e. the policy is bounded.
+ProbeResult RunProbe(const TestRunner& runner, const std::string& service,
+                     const std::string& exception) {
   SendProbe probe(service + ".send", exception);
-  interp.AddInterceptor(&probe);
-  try {
-    interp.Invoke(service + ".handle");
-    result.completed = true;
-  } catch (ThrownException&) {
-    result.completed = true;  // Gave up by (re)throwing: still a bounded policy.
-  } catch (const ExecutionAborted&) {
-    result.aborted = true;
-  }
+  TestRunRecord record = runner.RunTest(TestCase{service + ".handle"}, {&probe});
+  ProbeResult result;
   result.send_fires = probe.fires();
-  for (const LogEntry& entry : interp.log().entries()) {
+  result.aborted = record.outcome.status == TestStatus::kTimeout;
+  for (const LogEntry& entry : record.log.entries()) {
     if (entry.kind == LogEntryKind::kSleep && result.sleeps_ms.size() < kMaxRecordedBackoffs) {
       result.sleeps_ms.push_back(entry.amount);
     }
@@ -82,8 +76,10 @@ ProbeResult RunProbe(const mj::Program& program, const mj::ProgramIndex& index,
   return result;
 }
 
-EdgeRetryProfile ProbeService(const mj::Program& program, const mj::ProgramIndex& index,
-                              const mj::ClassDecl& cls, const mj::MethodDecl& handle) {
+// `request0` and `request1` probe as request ids 0 and 1.
+EdgeRetryProfile ProbeService(const mj::ProgramIndex& index, const TestRunner& request0,
+                              const TestRunner& request1, const mj::ClassDecl& cls,
+                              const mj::MethodDecl& handle) {
   EdgeRetryProfile profile;
   profile.service = cls.name;
   profile.coordinator = cls.name + ".handle";
@@ -93,12 +89,11 @@ EdgeRetryProfile ProbeService(const mj::Program& program, const mj::ProgramIndex
   }
 
   // Probe 0 (clean): fan-out = sends per successful request.
-  ProbeResult clean = RunProbe(program, index, cls.name, /*exception=*/"", /*request_id=*/0);
+  ProbeResult clean = RunProbe(request0, cls.name, /*exception=*/"");
   profile.fanout = static_cast<int>(std::max<int64_t>(1, clean.send_fires));
 
   // Probe 1 (persistent transport failure): attempts + backoff schedule.
-  ProbeResult transport =
-      RunProbe(program, index, cls.name, "ServiceUnavailableException", /*request_id=*/0);
+  ProbeResult transport = RunProbe(request0, cls.name, "ServiceUnavailableException");
   profile.bounded = !transport.aborted;
   profile.attempts = static_cast<int>(
       std::clamp<int64_t>(transport.send_fires, 1, kMaxRecordedAttempts));
@@ -106,8 +101,7 @@ EdgeRetryProfile ProbeService(const mj::Program& program, const mj::ProgramIndex
 
   // Probe 2 (same failure, different request identity): a backoff schedule
   // that depends on which request is retrying is jittered.
-  ProbeResult shifted =
-      RunProbe(program, index, cls.name, "ServiceUnavailableException", /*request_id=*/1);
+  ProbeResult shifted = RunProbe(request1, cls.name, "ServiceUnavailableException");
   const size_t compare = std::min(transport.sleeps_ms.size(), shifted.sleeps_ms.size());
   for (size_t i = 0; i < compare; ++i) {
     if (transport.sleeps_ms[i] != shifted.sleeps_ms[i]) {
@@ -118,8 +112,7 @@ EdgeRetryProfile ProbeService(const mj::Program& program, const mj::ProgramIndex
 
   // Probe 3 (overload push-back): a frontend that sends again after
   // ResourceExhaustedException retries on overload instead of shedding.
-  ProbeResult overload =
-      RunProbe(program, index, cls.name, "ResourceExhaustedException", /*request_id=*/0);
+  ProbeResult overload = RunProbe(request0, cls.name, "ResourceExhaustedException");
   profile.retries_on_overload = overload.send_fires >= 2;
   if (profile.retries_on_overload && !overload.sleeps_ms.empty()) {
     profile.overload_backoff_ms = overload.sleeps_ms.front();
@@ -151,9 +144,11 @@ std::vector<EdgeRetryProfile> ExtractRetryProfiles(const mj::Program& program,
   // Index-addressed results: the reduce order is the sorted service order, so
   // the profile list is byte-identical at any worker count.
   std::vector<EdgeRetryProfile> profiles(services.size());
+  TestRunner request0(program, index, ProbeOptions(/*request_id=*/0));
+  TestRunner request1(program, index, ProbeOptions(/*request_id=*/1));
   TaskPool pool(jobs);
   pool.ParallelFor(services.size(), [&](size_t i) {
-    profiles[i] = ProbeService(program, index, *services[i].cls, *services[i].handle);
+    profiles[i] = ProbeService(index, request0, request1, *services[i].cls, *services[i].handle);
   });
   return profiles;
 }

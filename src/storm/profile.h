@@ -18,9 +18,10 @@
 //                           retrying instead of shedding is the
 //                           retry-on-overload signal
 //
-// Probes run on private Interpreters with small budgets, in parallel across
-// services via TaskPool; results land in a pre-sized vector by index, so the
-// extracted profiles are byte-identical at any worker count.
+// Probes run through two TestRunners (request ids 0 and 1) with small
+// budgets, in parallel across services via TaskPool; results land in a
+// pre-sized vector by index, so the extracted profiles are byte-identical at
+// any worker count.
 
 #ifndef WASABI_SRC_STORM_PROFILE_H_
 #define WASABI_SRC_STORM_PROFILE_H_

@@ -1,22 +1,10 @@
 #include "src/testing/runner.h"
 
-#include <optional>
-#include <sstream>
+#include <utility>
+
+#include "src/exec/task_pool.h"
 
 namespace wasabi {
-
-Interpreter& InterpreterArena::Acquire(const mj::Program& program, const mj::ProgramIndex& index,
-                                       const InterpOptions& options) {
-  if (interp_ != nullptr && program_ == &program && index_ == &index && options_ == options) {
-    interp_->ResetForRun();
-    return *interp_;
-  }
-  interp_ = std::make_unique<Interpreter>(program, index, options);
-  program_ = &program;
-  index_ = &index;
-  options_ = options;
-  return *interp_;
-}
 
 const char* TestStatusName(TestStatus status) {
   switch (status) {
@@ -67,22 +55,27 @@ std::vector<TestCase> TestRunner::DiscoverTests() const {
   return tests;
 }
 
-TestRunRecord TestRunner::RunTest(const TestCase& test,
-                                  std::vector<CallInterceptor*> interceptors,
-                                  InterpreterArena* arena) const {
-  return RunTest(test, std::move(interceptors), arena, RunPerturbation{});
+Interpreter& TestRunner::AcquireInterpreter() const {
+  std::unique_ptr<Interpreter>* slot = nullptr;
+  {
+    std::lock_guard<std::mutex> lock(warm_mutex_);
+    slot = &warm_[TaskPool::CurrentWorker()];  // Node-based: stays valid.
+  }
+  if (*slot == nullptr) {
+    *slot = std::make_unique<Interpreter>(program_, index_, options_.interp);
+  } else {
+    (*slot)->ResetForRun();
+  }
+  return **slot;
 }
 
 TestRunRecord TestRunner::RunTest(const TestCase& test,
                                   std::vector<CallInterceptor*> interceptors,
-                                  InterpreterArena* arena,
                                   const RunPerturbation& perturbation) const {
   TestRunRecord record;
   record.test = test;
 
-  std::optional<Interpreter> local;
-  Interpreter& interp = arena != nullptr ? arena->Acquire(program_, index_, options_.interp)
-                                         : local.emplace(program_, index_, options_.interp);
+  Interpreter& interp = AcquireInterpreter();
   if (perturbation.virtual_clock_epoch_ms != 0) {
     interp.set_run_epoch_ms(perturbation.virtual_clock_epoch_ms);
   }

@@ -2,16 +2,20 @@
 //
 // Tests follow the JUnit-ish convention the corpus uses: classes whose names
 // end in "Test", methods whose names start with "test". Every run gets a
-// FRESH interpreter state (clean singletons, clock, log) so runs are
-// independent — the property the paper's planner relies on. The interpreter
-// OBJECT may be reused across a worker's runs via InterpreterArena; reuse
-// keeps warm storage only, never observable state.
+// FRESH interpreter state (clean singletons, config, clock, interceptors,
+// log) so runs are independent — the property the paper's planner relies on.
+// The interpreter OBJECT is reused: the runner keeps one warm interpreter per
+// pool worker and resets it each time it hands it out, so reuse keeps warm
+// storage (frames, dispatch cache, compiled bytecode) only, never observable
+// state.
 
 #ifndef WASABI_SRC_TESTING_RUNNER_H_
 #define WASABI_SRC_TESTING_RUNNER_H_
 
 #include <memory>
+#include <mutex>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -19,25 +23,6 @@
 #include "src/testing/test_model.h"
 
 namespace wasabi {
-
-// Per-worker interpreter reuse (docs/PERFORMANCE.md): a campaign worker keeps
-// one arena holding a warm Interpreter whose frame/value storage and dispatch
-// cache survive across that worker's runs. Acquire() reconstructs only when
-// the program/index/options change; otherwise ResetForRun() restores the
-// fresh-run isolation contract (clean singletons, config, clock, log) without
-// reallocating. Not thread-safe: each arena must be owned by exactly one
-// worker at a time.
-class InterpreterArena {
- public:
-  Interpreter& Acquire(const mj::Program& program, const mj::ProgramIndex& index,
-                       const InterpOptions& options);
-
- private:
-  std::unique_ptr<Interpreter> interp_;
-  const mj::Program* program_ = nullptr;
-  const mj::ProgramIndex* index_ = nullptr;
-  InterpOptions options_;
-};
 
 struct RunnerOptions {
   InterpOptions interp;
@@ -48,9 +33,9 @@ struct RunnerOptions {
 };
 
 // Per-run perturbation applied on top of RunnerOptions (docs/FLAKINESS.md).
-// Deliberately NOT part of InterpOptions: arenas compare options for warm
-// reuse, and a perturbed probe repetition must still reuse the worker's warm
-// interpreter.
+// Deliberately NOT part of RunnerOptions: a runner's options are fixed for
+// its lifetime, and a perturbed probe repetition must still run on the same
+// runner's warm interpreters as the campaign run it repeats.
 struct RunPerturbation {
   // Virtual-clock epoch the run starts at. The time budget stays relative
   // (a skewed run gets the full allowance); Clock.nowMillis() observes the
@@ -72,26 +57,27 @@ class TestRunner {
   std::vector<TestCase> DiscoverTests() const;
 
   // Runs one test with optional extra interceptors (injector, coverage
-  // recorder). Never throws: all outcomes are captured in the record.
-  // With an arena, the run reuses the arena's warm interpreter (identical
-  // observable behavior, no per-run construction); without one, a fresh
-  // interpreter is built as before.
+  // recorder) and a per-run perturbation. Never throws for mj-level
+  // outcomes: uncaught mj exceptions and budget aborts are captured in the
+  // record. The run executes on the calling pool worker's warm interpreter
+  // (keyed by TaskPool::CurrentWorker(); built on first use, ResetForRun on
+  // every later hand-out), so a runner may serve one TaskPool — or one
+  // thread outside any pool — at a time, and distinct workers never share an
+  // interpreter.
   TestRunRecord RunTest(const TestCase& test, std::vector<CallInterceptor*> interceptors = {},
-                        InterpreterArena* arena = nullptr) const;
-
-  // As above, with a per-run perturbation (clock epoch, degraded environment,
-  // loop observer). The default RunPerturbation{} is behavior-identical to
-  // the three-argument overload.
-  TestRunRecord RunTest(const TestCase& test, std::vector<CallInterceptor*> interceptors,
-                        InterpreterArena* arena, const RunPerturbation& perturbation) const;
-
-  const RunnerOptions& options() const { return options_; }
-  void set_options(RunnerOptions options) { options_ = std::move(options); }
+                        const RunPerturbation& perturbation = {}) const;
 
  private:
+  // The calling worker's interpreter in fresh-run state.
+  Interpreter& AcquireInterpreter() const;
+
   const mj::Program& program_;
   const mj::ProgramIndex& index_;
   RunnerOptions options_;
+  // Warm interpreters by pool worker index. The mutex guards only the map;
+  // each interpreter is touched by its own worker alone, outside the lock.
+  mutable std::mutex warm_mutex_;
+  mutable std::unordered_map<int, std::unique_ptr<Interpreter>> warm_;
 };
 
 }  // namespace wasabi

@@ -147,8 +147,8 @@ class MethodCompiler {
     return static_cast<int32_t>(chunk_.nodes.size() - 1);
   }
 
-  int32_t ConstIdx(Value value) {
-    chunk_.consts.push_back(std::move(value));
+  int32_t ConstIdx(const Value& value) {
+    chunk_.consts.push_back(value);
     return static_cast<int32_t>(chunk_.consts.size() - 1);
   }
 

@@ -40,6 +40,13 @@ std::vector<SeededBug> TruthFor(const CorpusApp& app, DetectionTechnique techniq
           truth.push_back(bug);
         }
         break;
+      case DetectionTechnique::kStormSim:
+        if (bug.type == BugType::kStormMissingJitter ||
+            bug.type == BugType::kStormUnboundedFanout ||
+            bug.type == BugType::kStormRetryOnOverload) {
+          truth.push_back(bug);
+        }
+        break;
     }
   }
   return truth;

@@ -246,12 +246,11 @@ TEST(CircuitBreakerTest, CampaignAndStormDefaultsStayPinnedApart) {
   // campaign's quarantine is final (cooldown 0 — a condemned injection
   // location would re-crash every probe), while the storm simulator models a
   // production admission breaker that probes after a cooldown.
-  const RobustnessOptions campaign_defaults;
   const StormOptions storm_defaults;
-  ASSERT_EQ(campaign_defaults.breaker_cooldown, 0);
   ASSERT_EQ(storm_defaults.breaker_cooldown, 25);
 
-  CircuitBreaker campaign(/*threshold=*/1, campaign_defaults.breaker_cooldown);
+  // Built the way ExecuteCampaignRobust builds it: threshold only.
+  CircuitBreaker campaign(/*threshold=*/1);
   campaign.RecordFailure("loc");
   int campaign_probes = 0;
   for (int i = 0; i < 200; ++i) {

@@ -6,8 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <ostream>
 #include <string>
-#include <type_traits>
 
 #include "src/inject/injector.h"
 #include "src/lang/diagnostics.h"
@@ -250,14 +250,25 @@ TEST(OracleBoundaries, RethrownSubclassOfTriggerCountsAsDifferentException) {
 
 struct AbortDetailCase {
   AbortReason reason;
-  // gtest names each case after a hex dump of the object's bytes. Implicit
-  // padding would put stack garbage into that name and change it from build
-  // to build, so the padding is a zeroed member instead.
-  char padding[7] = {};
   const char* expected_phrase;
 };
-static_assert(std::has_unique_object_representations_v<AbortDetailCase>,
-              "AbortDetailCase must have no implicit padding");
+
+// gtest puts both the case name and the printed parameter into the ctest
+// name. Both come from the reason, so the names are stable across builds
+// (the default printer would dump the phrase pointer's bytes).
+void PrintTo(const AbortDetailCase& c, std::ostream* os) { *os << AbortReasonName(c.reason); }
+
+std::string AbortDetailCaseName(const ::testing::TestParamInfo<AbortDetailCase>& info) {
+  switch (info.param.reason) {
+    case AbortReason::kStepBudget:
+      return "StepBudget";
+    case AbortReason::kVirtualTimeBudget:
+      return "VirtualTimeBudget";
+    case AbortReason::kStackOverflow:
+      return "StackOverflow";
+  }
+  return "Unknown";
+}
 
 class AbortReasonDetailSweep : public ::testing::TestWithParam<AbortDetailCase> {};
 
@@ -294,7 +305,8 @@ INSTANTIATE_TEST_SUITE_P(
         AbortDetailCase{.reason = AbortReason::kVirtualTimeBudget,
                         .expected_phrase = "exceeded the virtual-time budget"},
         AbortDetailCase{.reason = AbortReason::kStackOverflow,
-                        .expected_phrase = "overflowed the call stack"}));
+                        .expected_phrase = "overflowed the call stack"}),
+    AbortDetailCaseName);
 
 // --- Cause chains: deep wraps and cycles (§4.5 wrapped-exception pruning). ---
 

@@ -501,10 +501,11 @@ TEST_F(PipelineTest, ConfigRestorationFindsAndFreezesRestrictions) {
   for (const std::string& key : restoration.keys_to_freeze) {
     options.frozen_keys.push_back(key);
   }
-  runner_->set_options(options);
+  TestRunner restoring_runner(program_, *index_, options);
   FaultInjector injector2(
       {InjectionPoint{"Client.op", "Client.go", "IOException", kInjectRepeatedly}});
-  TestRunRecord restored = runner_->RunTest(TestCase{"ClientTest.testQuick"}, {&injector2});
+  TestRunRecord restored =
+      restoring_runner.RunTest(TestCase{"ClientTest.testQuick"}, {&injector2});
   EXPECT_EQ(restored.injection_counts[0], 10);
 }
 

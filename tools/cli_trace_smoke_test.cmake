@@ -1,8 +1,8 @@
 # Runs the dynamic workflow on the smallest corpus app with --trace-out and
 # --metrics-out, checks both files parse as JSON (CMake's string(JSON) is a
 # strict parser), and checks instrumentation leaves stdout byte-identical.
-# Also exercises the strict flag parser: unknown options and a valueless
-# --jobs must fail with a non-zero exit and the usage line.
+# Also exercises the strict flag parser: unknown options (including the
+# retired --engine) and a valueless --jobs must exit 2 with the usage line.
 file(REMOVE_RECURSE "${WORK_DIR}")
 file(MAKE_DIRECTORY "${WORK_DIR}")
 execute_process(COMMAND "${WASABI_CLI}" dump-corpus "${WORK_DIR}" RESULT_VARIABLE rc
@@ -58,12 +58,12 @@ if(NOT err STREQUAL "NOTFOUND" OR runs LESS_EQUAL 0)
   message(FATAL_ERROR "metrics missing campaign.runs_total (got '${runs}', err='${err}')")
 endif()
 
-# Flag-parser rejection paths: each must exit non-zero and print usage.
-foreach(bad_args IN ITEMS "--trace-ot=x.json" "--jobs" "--json=1")
+# Flag-parser rejection paths: each must exit 2 and print usage.
+foreach(bad_args IN ITEMS "--trace-ot=x.json" "--jobs" "--json=1" "--engine=tree")
   execute_process(COMMAND "${WASABI_CLI}" test "${app}" ${bad_args}
                   RESULT_VARIABLE rc ERROR_VARIABLE err OUTPUT_QUIET)
-  if(rc EQUAL 0)
-    message(FATAL_ERROR "CLI accepted bad option '${bad_args}'")
+  if(NOT rc EQUAL 2)
+    message(FATAL_ERROR "CLI exited ${rc}, not 2, for bad option '${bad_args}'")
   endif()
   if(NOT err MATCHES "usage: wasabi")
     message(FATAL_ERROR "no usage line for bad option '${bad_args}': ${err}")

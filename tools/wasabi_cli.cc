@@ -34,12 +34,6 @@
 //   --metrics-out=FILE                write the metrics snapshot
 //   --metrics-format=json|openmetrics metrics-out encoding (default json);
 //                                     openmetrics is Prometheus-scrapeable
-//   --engine=vm|tree                  mj execution engine: the bytecode VM
-//                                     (default) or the reference tree-walker
-//                                     (docs/PERFORMANCE.md); output is
-//                                     byte-identical for either, and the
-//                                     choice is part of the cache/record
-//                                     config digest
 //   --journal-out=FILE                write the retry-behavior journal JSON
 //                                     (docs/OBSERVABILITY.md); byte-identical
 //                                     at any --jobs N
@@ -147,7 +141,6 @@ int Usage() {
                " [--jobs N] [--trace-out=FILE] [--metrics-out=FILE]"
                " [--metrics-format=json|openmetrics] [--journal-out=FILE]"
                " [--report-out=FILE] [--progress]"
-               " [--engine=vm|tree]"
                " [--fail-fast] [--max-quarantined N] [--chaos SEED:RATE[:ENV_RATE]]"
                " [--cache-dir=DIR] [--scale N] [--app NAME] [--repetitions N] [--record DIR]"
                " [--replay ID] [--storm] [--storm-seed N] [--storm-duration MS]"
@@ -165,7 +158,6 @@ struct CliOptions {
   std::string trace_out;
   std::string metrics_out;
   std::string metrics_format = "json";  // "json" | "openmetrics".
-  std::string engine = "vm";            // "vm" | "tree" (docs/PERFORMANCE.md).
   bool metrics_format_set = false;      // For "--metrics-format without --metrics-out" errors.
   std::string journal_out;  // Empty = retry journal off.
   std::string report_out;   // Empty = no HTML report; non-empty implies journaling.
@@ -283,15 +275,6 @@ bool ParseOptions(int argc, char** argv, int first, CliOptions* options) {
       }
       options->metrics_format = value;
       options->metrics_format_set = true;
-    } else if (name == "--engine") {
-      if (!take_value("--engine")) {
-        Usage();
-        return false;
-      }
-      if (value != "vm" && value != "tree") {
-        return fail("option --engine must be vm or tree, got '" + value + "'");
-      }
-      options->engine = value;
     } else if (name == "--journal-out") {
       if (!take_value("--journal-out")) {
         Usage();
@@ -760,8 +743,6 @@ WasabiOptions DynamicOptionsFor(const fs::path& root, const CliOptions& cli) {
   options.robust.max_quarantined = cli.max_quarantined;
   options.robust.chaos = cli.chaos;
   options.prober.repetitions = cli.repetitions;
-  options.interp.engine =
-      cli.engine == "tree" ? EngineKind::kTree : EngineKind::kVm;
   return options;
 }
 
@@ -940,7 +921,7 @@ int StormCommand(const fs::path& root, const CliOptions& cli) {
 // detection pipeline, synthesizes a template patch for every confirmed WHEN/
 // storm verdict, and validates each patch with a cache-sliced re-campaign.
 // The report (JSON with --json, summary text otherwise) is byte-identical at
-// any --jobs N, with the cache off/cold/warm, and under either --engine.
+// any --jobs N and with the cache off/cold/warm.
 int RepairCommand(const fs::path& root, const CliOptions& cli) {
   mj::Program program;
   std::vector<SkippedFile> skipped;
