@@ -3,13 +3,17 @@
 // report + journal serialization — over the stormlab ground-truth app at
 // --jobs 1/2/4/8 and across repeated same-seed runs, and fails (exit 1) on
 // the first byte that differs. Also prints the oracle scorecard against the
-// seeded manifest; the acceptance bar is exact TP=3 / FP=0 / FN=0.
+// seeded manifest; the acceptance bar is exact TP=3 / FP=0 / FN=0. Last, it
+// times the simulation alone (RunStormSim, default options, no journal) on
+// stormlab and repairlab: best of 5 runs in ms, and attempts per second.
 //
 // Usage: stress_storm [repeats-per-jobs-level]   (default 3)
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -39,6 +43,24 @@ StormArtifacts RunPipeline(const CorpusApp& app, int jobs) {
   artifacts.report_json = StormReportToJson(artifacts.report);
   artifacts.journal_json = journal.ToJson(app.name);
   return artifacts;
+}
+
+// Best-of-5 wall time of the simulation alone, profiles extracted once.
+void TimeSimulation(const char* lab) {
+  CorpusApp app = BuildCorpusApp(lab);
+  std::vector<EdgeRetryProfile> profiles =
+      ExtractRetryProfiles(app.program, *app.index, /*jobs=*/1);
+  double best_s = std::numeric_limits<double>::infinity();
+  int64_t attempts = 0;
+  for (int r = 0; r < 5; ++r) {
+    Clock::time_point begin = Clock::now();
+    StormReport report = RunStormSim(app.name, profiles, StormOptions{}, nullptr);
+    best_s = std::min(best_s, std::chrono::duration<double>(Clock::now() - begin).count());
+    attempts = report.total_attempts;
+  }
+  std::cout << "sim " << lab << ": best_of_5_ms=" << best_s * 1000.0
+            << " attempts=" << attempts
+            << " attempts_per_s=" << static_cast<int64_t>(attempts / best_s) << "\n";
 }
 
 int Run(int repeats) {
@@ -94,6 +116,9 @@ int Run(int repeats) {
   if (total.true_positives != 3 || total.false_positives != 0 || total.false_negatives != 0) {
     std::cerr << "FAIL: storm oracles are not exact against the stormlab manifest\n";
     return 1;
+  }
+  for (const char* lab : {"stormlab", "repairlab"}) {
+    TimeSimulation(lab);
   }
   std::cout << "PASS\n";
   return 0;

@@ -80,9 +80,12 @@ PipelineRun RunPipelineOnce(const mj::Program& program, const mj::ProgramIndex& 
   // oracles; the first report of a MatchKey keeps its detail line.
   std::vector<BugReport> candidates = run.dyn.bugs;
   candidates.insert(candidates.end(), collated.begin(), collated.end());
-  std::vector<EdgeRetryProfile> profiles = ExtractRetryProfiles(program, index, options.jobs);
+  // Only the baseline pass carries a tracer: SanitizeForValidation strips it.
+  std::vector<EdgeRetryProfile> profiles =
+      ExtractRetryProfiles(program, index, options.jobs, options.tracer);
   if (!profiles.empty()) {
-    StormReport storm = RunStormSim(options.app_name, profiles, storm_options, nullptr);
+    StormReport storm =
+        RunStormSim(options.app_name, profiles, storm_options, nullptr, options.tracer);
     candidates.insert(candidates.end(), storm.bugs.begin(), storm.bugs.end());
   }
   for (const BugReport& report : candidates) {

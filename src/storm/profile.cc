@@ -6,6 +6,7 @@
 
 #include "src/exec/task_pool.h"
 #include "src/interp/exec_log.h"
+#include "src/obs/trace.h"
 #include "src/testing/runner.h"
 
 namespace wasabi {
@@ -123,7 +124,9 @@ EdgeRetryProfile ProbeService(const mj::ProgramIndex& index, const TestRunner& r
 }  // namespace
 
 std::vector<EdgeRetryProfile> ExtractRetryProfiles(const mj::Program& program,
-                                                   const mj::ProgramIndex& index, int jobs) {
+                                                   const mj::ProgramIndex& index, int jobs,
+                                                   Tracer* tracer) {
+  ScopedSpan span(tracer, "storm.profile");
   struct Service {
     const mj::ClassDecl* cls = nullptr;
     const mj::MethodDecl* handle = nullptr;
@@ -150,6 +153,7 @@ std::vector<EdgeRetryProfile> ExtractRetryProfiles(const mj::Program& program,
   pool.ParallelFor(services.size(), [&](size_t i) {
     profiles[i] = ProbeService(index, request0, request1, *services[i].cls, *services[i].handle);
   });
+  span.AddArg("edges", static_cast<int64_t>(profiles.size()));
   return profiles;
 }
 

@@ -35,6 +35,8 @@
 
 namespace wasabi {
 
+class Tracer;
+
 struct EdgeRetryProfile {
   std::string service;      // Class name.
   std::string coordinator;  // "Class.handle" — joins the retry ground truth.
@@ -65,9 +67,11 @@ struct EdgeRetryProfile {
 };
 
 // Extracts one profile per service class, sorted by class name. `jobs`
-// follows TaskPool semantics (<= 0 = hardware default, 1 = serial).
+// follows TaskPool semantics (<= 0 = hardware default, 1 = serial). A
+// non-null `tracer` gets a "storm.profile" span (arg `edges`).
 std::vector<EdgeRetryProfile> ExtractRetryProfiles(const mj::Program& program,
-                                                   const mj::ProgramIndex& index, int jobs = 1);
+                                                   const mj::ProgramIndex& index, int jobs = 1,
+                                                   Tracer* tracer = nullptr);
 
 }  // namespace wasabi
 

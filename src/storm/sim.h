@@ -1,40 +1,21 @@
 // Determinism kit for the retry-storm simulator (docs/STORM.md).
 //
-// Three small pieces, modeled on the Mars-sim SimClock/Rng/Recorder idiom the
-// ROADMAP names: a virtual clock that only ever moves when an event says so,
-// a seeded splittable RNG (splitmix64) so every edge draws jitter from its
-// own stream regardless of event interleaving, and a binary-heap event queue
-// keyed by (time, tiebreak seq) so same-instant events pop in push order.
-// Nothing here reads wall time; a storm run is a pure function of
-// (profiles, options, seed).
+// Two small pieces: a seeded splittable RNG (splitmix64) so every edge draws
+// jitter from its own stream regardless of event interleaving, and an event
+// queue that pops in time order, same instant in push order. Virtual time is
+// the time of the event being handled; nothing here reads wall time, so a
+// storm run is a pure function of (profiles, options, seed).
 
 #ifndef WASABI_SRC_STORM_SIM_H_
 #define WASABI_SRC_STORM_SIM_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <utility>
 #include <vector>
 
 namespace wasabi {
-
-// Virtual milliseconds. Advanced only by the event loop, never by wall time.
-class SimClock {
- public:
-  int64_t now_ms() const { return now_ms_; }
-
-  // Time is monotone: popping the event queue in (time, seq) order can only
-  // move the clock forward, so a backwards AdvanceTo is clamped (and would
-  // indicate a scheduling bug upstream).
-  void AdvanceTo(int64_t t_ms) {
-    if (t_ms > now_ms_) {
-      now_ms_ = t_ms;
-    }
-  }
-
- private:
-  int64_t now_ms_ = 0;
-};
 
 // splitmix64 (Steele et al., "Fast splittable pseudorandom number
 // generators"): tiny state, full 64-bit period per stream, and cheap
@@ -74,9 +55,24 @@ class SimRng {
   uint64_t state_;
 };
 
-// Min-heap of events keyed by (at_ms, seq); seq is assigned at push, so
-// same-instant events pop in push order — the tiebreak that makes the whole
-// simulation insensitive to heap internals.
+// Event queue popping in time order, same instant in push order: the
+// tiebreak that makes the simulation insensitive to queue internals.
+//
+// A timing wheel. One-millisecond FIFO buckets cover the kSpanMs instants
+// from the cursor (the instant last popped); an event further out waits in a
+// (at_ms, seq) min-heap. Heap events move into their bucket, in seq order,
+// as soon as the cursor comes within kSpanMs of them; a direct push reaches
+// that bucket only afterwards, so every bucket holds its events in push
+// order. When the wheel runs empty the cursor jumps to the heap's minimum.
+// Push and pop are O(1) for near events, plus one cursor step per simulated
+// millisecond. Buckets are lists linked by index through one slab of
+// entries with a free list; the links sit in their own array, so walking
+// them stays in cache. Memory is bounded by the pending events plus the
+// bucket heads, whatever the simulated duration.
+//
+// Precondition: no push lands before the cursor (the sim's delays are all
+// >= 1). Such a push is clamped to the cursor and pops after the events
+// already queued for that instant.
 template <typename Payload>
 class EventQueue {
  public:
@@ -87,64 +83,94 @@ class EventQueue {
   };
 
   void Push(int64_t at_ms, Payload payload) {
-    entries_.push_back(Entry{at_ms, next_seq_++, std::move(payload)});
-    SiftUp(entries_.size() - 1);
+    at_ms = std::max(at_ms, cursor_);
+    if (at_ms - cursor_ < kSpanMs) {
+      Append(Entry{at_ms, next_seq_++, std::move(payload)});
+    } else {
+      far_.push_back(Entry{at_ms, next_seq_++, std::move(payload)});
+      std::push_heap(far_.begin(), far_.end(), Later);
+    }
   }
 
-  bool empty() const { return entries_.empty(); }
-  size_t size() const { return entries_.size(); }
-  const Entry& top() const { return entries_.front(); }
+  bool empty() const { return near_ == 0 && far_.empty(); }
+  size_t size() const { return near_ + far_.size(); }
 
+  // Precondition: !empty().
   Entry PopMin() {
-    Entry min = std::move(entries_.front());
-    entries_.front() = std::move(entries_.back());
-    entries_.pop_back();
-    if (!entries_.empty()) {
-      SiftDown(0);
+    if (near_ == 0) {
+      cursor_ = far_.front().at_ms;
+      Migrate();
     }
-    return min;
+    while (buckets_[Slot(cursor_)].head == kNil) {
+      ++cursor_;
+      Migrate();
+    }
+    Bucket& bucket = buckets_[Slot(cursor_)];
+    const uint32_t index = bucket.head;
+    bucket.head = next_[index];
+    next_[index] = free_;
+    free_ = index;
+    --near_;
+    return std::move(slab_[index]);
   }
 
  private:
-  static bool Less(const Entry& a, const Entry& b) {
+  static constexpr int64_t kSpanMs = 4096;  // Power of two: Slot() masks.
+  static constexpr uint32_t kNil = UINT32_MAX;
+
+  struct Bucket {
+    uint32_t head = kNil;
+    uint32_t tail = kNil;
+  };
+
+  static size_t Slot(int64_t at_ms) { return static_cast<size_t>(at_ms & (kSpanMs - 1)); }
+
+  // Heap order: std::push_heap keeps the greatest on top, so "later" first.
+  static bool Later(const Entry& a, const Entry& b) {
     if (a.at_ms != b.at_ms) {
-      return a.at_ms < b.at_ms;
+      return a.at_ms > b.at_ms;
     }
-    return a.seq < b.seq;
+    return a.seq > b.seq;
   }
 
-  void SiftUp(size_t i) {
-    while (i > 0) {
-      size_t parent = (i - 1) / 2;
-      if (!Less(entries_[i], entries_[parent])) {
-        break;
-      }
-      std::swap(entries_[i], entries_[parent]);
-      i = parent;
+  // Appends to the tail of the entry's bucket; at_ms is within the span.
+  void Append(Entry&& entry) {
+    Bucket& bucket = buckets_[Slot(entry.at_ms)];
+    uint32_t index = free_;
+    if (index != kNil) {
+      free_ = next_[index];
+      slab_[index] = std::move(entry);
+      next_[index] = kNil;
+    } else {
+      index = static_cast<uint32_t>(slab_.size());
+      slab_.push_back(std::move(entry));
+      next_.push_back(kNil);
+    }
+    if (bucket.head == kNil) {
+      bucket.head = index;
+    } else {
+      next_[bucket.tail] = index;
+    }
+    bucket.tail = index;
+    ++near_;
+  }
+
+  // Moves every heap event now within the span into its bucket.
+  void Migrate() {
+    while (!far_.empty() && far_.front().at_ms - cursor_ < kSpanMs) {
+      std::pop_heap(far_.begin(), far_.end(), Later);
+      Append(std::move(far_.back()));
+      far_.pop_back();
     }
   }
 
-  void SiftDown(size_t i) {
-    const size_t n = entries_.size();
-    while (true) {
-      size_t left = 2 * i + 1;
-      size_t right = left + 1;
-      size_t smallest = i;
-      if (left < n && Less(entries_[left], entries_[smallest])) {
-        smallest = left;
-      }
-      if (right < n && Less(entries_[right], entries_[smallest])) {
-        smallest = right;
-      }
-      if (smallest == i) {
-        break;
-      }
-      std::swap(entries_[i], entries_[smallest]);
-      i = smallest;
-    }
-  }
-
-  std::vector<Entry> entries_;
+  std::vector<Entry> slab_;
+  std::vector<uint32_t> next_;  // Bucket or free-list link per slab entry.
+  uint32_t free_ = kNil;
+  std::vector<Bucket> buckets_ = std::vector<Bucket>(kSpanMs);
+  std::vector<Entry> far_;  // Min-heap under Later.
+  int64_t cursor_ = 0;
+  size_t near_ = 0;  // Events in the buckets.
   uint64_t next_seq_ = 0;
 };
 

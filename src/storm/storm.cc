@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <deque>
 #include <sstream>
-#include <unordered_map>
 #include <utility>
 
 #include "src/core/report_json.h"
@@ -36,22 +35,32 @@ struct Ev {
   bool overload = false;
 };
 
-struct Request {
-  int attempt = 1;
-  bool probe = false;  // Admitted as the breaker's half-open probe.
-};
-
 struct EdgeRt {
   StormEdgeStats stats;
   bool has_breaker = false;  // Overload-shedding edges get admission control.
   CircuitBreaker breaker{1};
   SimRng rng{0};
   JournalRun run;
-  std::unordered_map<uint64_t, Request> live;
-  std::unordered_map<int64_t, int64_t> retries_at_ms;  // For wave_peak.
-  uint64_t next_req = 0;
+  // Current attempt of every request from `live_base` on (ids are dense per
+  // edge); 0 marks a completed one. Completed requests are trimmed from the
+  // front, so the window spans only the requests still in flight.
+  std::deque<int> live;
+  uint64_t live_base = 0;
+  // Retry dispatches in the simulated ms `wave_ms`, for wave_peak; dispatch
+  // times never decrease, so one running pair suffices.
+  int64_t wave_ms = -1;
+  int64_t wave_count = 0;
   int64_t inflight_retries = 0;
   int64_t queued = 0;  // Copies currently in the backend queue / in service.
+
+  // The live request's current attempt, or nullptr once it completed.
+  int* Live(uint64_t req) {
+    if (req < live_base || req - live_base >= live.size()) {
+      return nullptr;
+    }
+    int& attempt = live[req - live_base];
+    return attempt == 0 ? nullptr : &attempt;
+  }
 };
 
 struct BackendCopy {
@@ -111,9 +120,8 @@ class StormSim {
     while (!queue_.empty()) {
       auto entry = queue_.PopMin();
       if (entry.at_ms > opt_.duration_ms) {
-        break;  // Heap pops in time order: everything left is past the end.
+        break;  // Pops come in time order: everything left is past the end.
       }
-      clock_.AdvanceTo(entry.at_ms);
       Handle(entry.at_ms, entry.payload);
     }
     Finalize();
@@ -139,13 +147,11 @@ class StormSim {
       case EvKind::kArrival:
         Arrival(t, ev.edge);
         break;
-      case EvKind::kDispatch: {
-        EdgeRt& edge = edges_[ev.edge];
-        if (edge.live.find(ev.req) != edge.live.end()) {
+      case EvKind::kDispatch:
+        if (edges_[ev.edge].Live(ev.req) != nullptr) {
           Dispatch(t, ev.edge, ev.req, ev.attempt);
         }
         break;
-      }
       case EvKind::kBackendArrive:
         BackendArrive(t, ev);
         break;
@@ -168,7 +174,6 @@ class StormSim {
     EdgeRt& edge = edges_[e];
     for (int b = 0; b < opt_.burst; ++b) {
       edge.stats.requests++;
-      bool probe = false;
       if (edge.has_breaker) {
         BreakerDecision decision = edge.breaker.Admit(edge.stats.profile.coordinator);
         if (decision == BreakerDecision::kShed) {
@@ -176,12 +181,11 @@ class StormSim {
           continue;
         }
         if (decision == BreakerDecision::kProbe) {
-          probe = true;
           edge.run.BreakerTransition(JournalEventKind::kBreakerHalfOpen, t);
         }
       }
-      uint64_t id = edge.next_req++;
-      edge.live.emplace(id, Request{1, probe});
+      uint64_t id = edge.live_base + edge.live.size();
+      edge.live.push_back(1);
       queue_.Push(t + opt_.request_timeout_ms, Ev{EvKind::kTimeout, e, id});
       Dispatch(t, e, id, 1);
     }
@@ -194,9 +198,11 @@ class StormSim {
     EdgeRt& edge = edges_[e];
     edge.stats.attempts++;
     if (attempt >= 2) {
-      int64_t& count = edge.retries_at_ms[t];
-      ++count;
-      edge.stats.wave_peak = std::max(edge.stats.wave_peak, count);
+      if (edge.wave_ms != t) {
+        edge.wave_ms = t;
+        edge.wave_count = 0;
+      }
+      edge.stats.wave_peak = std::max(edge.stats.wave_peak, ++edge.wave_count);
     }
     if (t >= WindowStart()) {
       edge.stats.post_window_attempts++;
@@ -274,8 +280,8 @@ class StormSim {
 
   void Response(int64_t t, const Ev& ev) {
     EdgeRt& edge = edges_[ev.edge];
-    auto it = edge.live.find(ev.req);
-    if (it == edge.live.end() || it->second.attempt != ev.attempt) {
+    int* attempt = edge.Live(ev.req);
+    if (attempt == nullptr || *attempt != ev.attempt) {
       return;  // Request already completed (e.g. client timeout) — stale.
     }
     const EdgeRetryProfile& p = edge.stats.profile;
@@ -286,30 +292,31 @@ class StormSim {
         edge.stats.time_to_recover_ms = t - opt_.fault_end_ms;
       }
       RecordBreaker(t, ev.edge, /*success=*/true);
-      Complete(ev.edge, it);
+      Complete(ev.edge, attempt);
       return;
     }
     if (ev.overload && !p.retries_on_overload) {
       edge.stats.shed_on_overload++;  // Honors push-back: shed, don't retry.
       RecordBreaker(t, ev.edge, /*success=*/false);
-      Complete(ev.edge, it);
+      Complete(ev.edge, attempt);
       return;
     }
     if (!ev.overload && p.bounded && ev.attempt >= p.attempts) {
       edge.stats.gave_up++;
       RecordBreaker(t, ev.edge, /*success=*/false);
-      Complete(ev.edge, it);
+      Complete(ev.edge, attempt);
       return;
     }
-    Retry(t, ev.edge, it, ev.attempt, ev.overload);
+    Retry(t, ev.edge, ev.req, attempt, ev.overload);
   }
 
-  void Retry(int64_t t, int e, std::unordered_map<uint64_t, Request>::iterator it,
-             int attempt, bool overload) {
+  // `current` is the request's live attempt slot.
+  void Retry(int64_t t, int e, uint64_t req, int* current, bool overload) {
     EdgeRt& edge = edges_[e];
     const EdgeRetryProfile& p = edge.stats.profile;
+    const int attempt = *current;
     int next = attempt + 1;
-    it->second.attempt = next;
+    *current = next;
     if (next == 2) {
       edge.inflight_retries++;
       edge.stats.inflight_retries_max =
@@ -330,18 +337,18 @@ class StormSim {
         delay = std::max<int64_t>(1, base / 2 + edge.rng.NextInt(0, base - base / 2));
       }
     }
-    queue_.Push(t + delay, Ev{EvKind::kDispatch, e, it->first, next});
+    queue_.Push(t + delay, Ev{EvKind::kDispatch, e, req, next});
   }
 
   void Timeout(int64_t t, const Ev& ev) {
     EdgeRt& edge = edges_[ev.edge];
-    auto it = edge.live.find(ev.req);
-    if (it == edge.live.end()) {
+    int* attempt = edge.Live(ev.req);
+    if (attempt == nullptr) {
       return;
     }
     edge.stats.timed_out++;
     RecordBreaker(t, ev.edge, /*success=*/false);
-    Complete(ev.edge, it);
+    Complete(ev.edge, attempt);
   }
 
   // Request-level breaker accounting; transitions go to the edge journal.
@@ -368,13 +375,18 @@ class StormSim {
     }
   }
 
-  void Complete(int e, std::unordered_map<uint64_t, Request>::iterator it) {
+  // `attempt` is the request's live attempt slot; zeroing it completes it.
+  void Complete(int e, int* attempt) {
     EdgeRt& edge = edges_[e];
-    if (it->second.attempt >= 2) {
+    if (*attempt >= 2) {
       edge.inflight_retries--;
     }
-    edge.stats.needed_attempts += std::min<int64_t>(it->second.attempt, 4);
-    edge.live.erase(it);
+    edge.stats.needed_attempts += std::min<int64_t>(*attempt, 4);
+    *attempt = 0;
+    while (!edge.live.empty() && edge.live.front() == 0) {
+      edge.live.pop_front();
+      edge.live_base++;
+    }
   }
 
   void Sample(int64_t t) {
@@ -403,10 +415,11 @@ class StormSim {
         (opt_.recovery_window_ms / opt_.arrival_interval_ms) * opt_.burst;
     for (EdgeRt& edge : edges_) {
       StormEdgeStats& s = edge.stats;
-      s.unfinished = static_cast<int64_t>(edge.live.size());
-      for (const auto& [id, req] : edge.live) {
-        (void)id;
-        s.needed_attempts += std::min<int64_t>(req.attempt, 4);
+      for (int attempt : edge.live) {
+        if (attempt != 0) {
+          s.unfinished++;
+          s.needed_attempts += std::min<int64_t>(attempt, 4);
+        }
       }
       s.amplification_x1000 = s.copies_sent * 1000 / std::max<int64_t>(1, s.needed_attempts);
       s.metastable = s.post_window_attempts > 2 * expected_window_arrivals;
@@ -478,7 +491,6 @@ class StormSim {
   StormOptions opt_;
   RetryJournal* journal_;
   StormReport report_;
-  SimClock clock_;
   EventQueue<Ev> queue_;
   std::vector<EdgeRt> edges_;
   JournalRun backend_run_;
@@ -491,9 +503,13 @@ class StormSim {
 }  // namespace
 
 StormReport RunStormSim(std::string_view app, const std::vector<EdgeRetryProfile>& profiles,
-                        const StormOptions& options, RetryJournal* journal) {
+                        const StormOptions& options, RetryJournal* journal, Tracer* tracer) {
+  ScopedSpan span(tracer, "storm.sim");
   StormSim sim(app, profiles, options, journal);
-  return sim.Run();
+  StormReport report = sim.Run();
+  span.AddArg("edges", static_cast<int64_t>(profiles.size()));
+  span.AddArg("attempts", report.total_attempts);
+  return report;
 }
 
 std::string StormReportToJson(const StormReport& report) {

@@ -18,11 +18,18 @@
 // admission CircuitBreaker (threshold + half-open cooldown from
 // src/robust); edges that retry on overload lack one — that is the bug.
 //
-// Determinism. The event loop is serial over an EventQueue keyed
-// (time, push seq); all jitter comes from per-edge SimRng splits; the
-// journal (stream kStorm) and the report are pure functions of
-// (profiles, options). Reports are byte-identical at any --jobs level and
-// across repeated same-seed runs (bench/stress_storm proves it).
+// Determinism. The event loop is serial over an EventQueue (src/storm/sim.h,
+// a timing wheel) that pops in time order, same instant in push order; all
+// jitter comes from per-edge SimRng splits; the journal (stream kStorm) and
+// the report are pure functions of (profiles, options). Reports are
+// byte-identical at any --jobs level and across repeated same-seed runs
+// (bench/stress_storm proves it), and tests/goldens/storm.golden pins their
+// bytes across builds.
+//
+// Cost. One default-options run pops about 770k events; the wheel makes
+// each push and pop O(1), and per-request state is a window indexed by the
+// dense request id; only the per-request breaker bookkeeping still hashes
+// (docs/PERFORMANCE.md).
 
 #ifndef WASABI_SRC_STORM_STORM_H_
 #define WASABI_SRC_STORM_STORM_H_
@@ -156,9 +163,11 @@ struct StormReport {
 // Runs the simulation. Serial and allocation-bounded; `journal` (nullable)
 // receives the kStorm stream: run 0 = backend timeline (queue-depth samples,
 // fault markers), run e+1 = edge e (breaker transitions, in-flight-retry
-// samples). `app` stamps the bug reports and journal export.
+// samples). `app` stamps the bug reports and journal export. A non-null
+// `tracer` gets a "storm.sim" span (args `edges`, `attempts`).
 StormReport RunStormSim(std::string_view app, const std::vector<EdgeRetryProfile>& profiles,
-                        const StormOptions& options, RetryJournal* journal = nullptr);
+                        const StormOptions& options, RetryJournal* journal = nullptr,
+                        Tracer* tracer = nullptr);
 
 // Versioned ("wasabi-storm-v1"), fixed key order, integers only —
 // byte-stable for the determinism benches and CLI smoke diffs.

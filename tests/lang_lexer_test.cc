@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "src/lang/diagnostics.h"
@@ -14,8 +16,9 @@
 namespace mj {
 namespace {
 
-// Token::text views into the SourceFile, so the fixture keeps the file alive
-// for the duration of each test.
+// Token::text views into the SourceFile and Token::string_value into the
+// lexer's decoded-string storage, so the fixture keeps both alive for the
+// duration of each test (the storage the way Parser does).
 class LexFixture {
  public:
   std::vector<Token> Lex(const std::string& text, DiagnosticEngine& diag,
@@ -26,11 +29,13 @@ class LexFixture {
     if (comments != nullptr) {
       *comments = lexer.comments();
     }
+    strings_ = lexer.TakeStringStorage();
     return tokens;
   }
 
  private:
   std::unique_ptr<SourceFile> file_;
+  std::deque<std::string> strings_;
 };
 
 std::vector<Token> Lex(const std::string& text, DiagnosticEngine& diag,

@@ -2,10 +2,23 @@
 // profiles from the generated sources, run the simulation, score the oracle
 // output against the seeded manifest (exact TP/FP/FN), and prove the report
 // and journal are byte-identical at every worker count and across reruns.
+//
+// StormOutputMatchesGoldens also pins those bytes across builds: digests of
+// the JSON report, the text summary and the kStorm journal for stormlab and
+// repairlab under six option sets live in tests/goldens/storm.golden as
+// `key fnv=<hex> bytes=<n>` lines. Regenerate with
+// WASABI_UPDATE_GOLDENS=1 ./storm_e2e_test — but only ever from a build whose
+// simulator output is already trusted.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdlib>
+#include <fstream>
+#include <map>
+#include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/core/scoring.h"
@@ -13,6 +26,10 @@
 #include "src/obs/journal.h"
 #include "src/storm/profile.h"
 #include "src/storm/storm.h"
+
+#ifndef WASABI_GOLDENS_DIR
+#define WASABI_GOLDENS_DIR "tests/goldens"
+#endif
 
 namespace wasabi {
 namespace {
@@ -101,6 +118,101 @@ TEST(StormE2eTest, SeedChangesJitterButNotTheVerdicts) {
   StormReport report = RunStormSim(app.name, profiles, options, nullptr);
   ASSERT_EQ(report.bugs.size(), 3u) << "oracle verdicts must be robust to the jitter seed";
   EXPECT_TRUE(report.metastable);
+}
+
+uint64_t Fnv1a64(std::string_view text) {
+  uint64_t hash = 1469598103934665603ull;
+  for (unsigned char c : text) {
+    hash ^= c;
+    hash *= 1099511628211ull;
+  }
+  return hash;
+}
+
+std::string Digest(std::string_view text) {
+  std::ostringstream out;
+  out << "fnv=" << std::hex << Fnv1a64(text) << std::dec << " bytes=" << text.size();
+  return out.str();
+}
+
+// Option sets that steer the event queue through its distinct regimes: the
+// default storm, another jitter seed, a long run with an early fault, a tiny
+// queue under heavy bursts, arrivals further apart than a 4096 ms horizon
+// (long empty stretches) and timeouts three such horizons out (far events).
+std::map<std::string, StormOptions> GoldenOptionSets() {
+  std::map<std::string, StormOptions> sets;
+  sets["default"] = StormOptions{};
+  StormOptions seed;
+  seed.seed = 7;
+  sets["seed7"] = seed;
+  StormOptions long_run;
+  long_run.duration_ms = 60'000;
+  long_run.fault_start_ms = 0;
+  long_run.fault_end_ms = 20'000;
+  sets["long_fault"] = long_run;
+  StormOptions small_queue;
+  small_queue.queue_limit = 8;
+  small_queue.burst = 40;
+  sets["small_queue"] = small_queue;
+  StormOptions sparse;
+  sparse.arrival_interval_ms = 5'000;
+  sets["sparse_arrivals"] = sparse;
+  StormOptions far_timeout;
+  far_timeout.request_timeout_ms = 3 * 4'096;
+  sets["far_timeout"] = far_timeout;
+  return sets;
+}
+
+std::map<std::string, std::string> ComputeStormGoldens() {
+  std::map<std::string, std::string> goldens;
+  const std::map<std::string, StormOptions> sets = GoldenOptionSets();
+  for (const char* lab : {"stormlab", "repairlab"}) {
+    CorpusApp app = BuildCorpusApp(lab);
+    std::vector<EdgeRetryProfile> profiles =
+        ExtractRetryProfiles(app.program, *app.index, /*jobs=*/2);
+    for (const auto& [name, options] : sets) {
+      RetryJournal journal;
+      StormReport report = RunStormSim(app.name, profiles, options, &journal);
+      const std::string prefix = std::string(lab) + "." + name + ".";
+      goldens[prefix + "json"] = Digest(StormReportToJson(report));
+      goldens[prefix + "text"] = Digest(StormReportToText(report));
+      goldens[prefix + "journal"] = Digest(journal.ToJson(app.name));
+    }
+  }
+  return goldens;
+}
+
+TEST(StormE2eTest, StormOutputMatchesGoldens) {
+  const std::string path = std::string(WASABI_GOLDENS_DIR) + "/storm.golden";
+  const std::map<std::string, std::string> computed = ComputeStormGoldens();
+
+  if (std::getenv("WASABI_UPDATE_GOLDENS") != nullptr) {
+    std::ofstream out(path);
+    out << "# Storm report/text/journal goldens for the labs (see storm_e2e_test.cc).\n";
+    for (const auto& [key, value] : computed) {
+      out << key << " " << value << "\n";
+    }
+    GTEST_SKIP() << "goldens regenerated at " << path;
+  }
+
+  std::map<std::string, std::string> expected;
+  std::ifstream in(path);
+  std::string line;
+  while (std::getline(in, line)) {
+    size_t space = line.find(' ');
+    if (!line.empty() && line[0] != '#' && space != std::string::npos) {
+      expected[line.substr(0, space)] = line.substr(space + 1);
+    }
+  }
+  ASSERT_FALSE(expected.empty())
+      << "no goldens at " << path << "; regenerate from a trusted build with "
+      << "WASABI_UPDATE_GOLDENS=1";
+  EXPECT_EQ(computed.size(), expected.size());
+  for (const auto& [key, value] : expected) {
+    auto found = computed.find(key);
+    ASSERT_NE(found, computed.end()) << "missing golden section " << key;
+    EXPECT_EQ(found->second, value) << key << " diverged from the committed storm output";
+  }
 }
 
 }  // namespace

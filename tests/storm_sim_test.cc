@@ -1,5 +1,5 @@
 // Unit tests for the storm simulator (src/storm): the determinism kit
-// (SimClock / SimRng / EventQueue) and the discrete-event engine driven by
+// (SimRng / EventQueue) and the discrete-event engine driven by
 // synthetic retry profiles, so every oracle fires (and stays quiet) on inputs
 // whose ground truth is known by construction.
 
@@ -7,8 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/obs/journal.h"
@@ -16,17 +19,6 @@
 
 namespace wasabi {
 namespace {
-
-TEST(SimClockTest, AdvancesMonotonicallyAndClampsBackwardMoves) {
-  SimClock clock;
-  EXPECT_EQ(clock.now_ms(), 0);
-  clock.AdvanceTo(42);
-  EXPECT_EQ(clock.now_ms(), 42);
-  clock.AdvanceTo(7);  // Backwards: clamped, never rewinds.
-  EXPECT_EQ(clock.now_ms(), 42);
-  clock.AdvanceTo(42);
-  EXPECT_EQ(clock.now_ms(), 42);
-}
 
 TEST(SimRngTest, SameSeedSameStream) {
   SimRng a(123);
@@ -104,6 +96,82 @@ TEST(EventQueueTest, InterleavedPushPopKeepsHeapInvariant) {
     auto e = q.PopMin();
     EXPECT_GE(e.at_ms, last);
     last = e.at_ms;
+  }
+}
+
+// EventQueue keeps a 4096 ms wheel in front of its heap; the cases below
+// straddle that span.
+constexpr int64_t kWheelSpanMs = 4096;
+
+TEST(EventQueueTest, EmptyWheelJumpsAheadAndPastPushesClampToTheCursor) {
+  EventQueue<int> q;
+  q.Push(3 * kWheelSpanMs + 5, 1);  // Beyond the wheel: waits in the heap.
+  q.Push(10 * kWheelSpanMs, 2);
+  q.Push(3 * kWheelSpanMs + 5, 3);
+  EXPECT_EQ(q.size(), 3u);
+  auto first = q.PopMin();  // Wheel empty: the cursor jumps to the heap minimum.
+  EXPECT_EQ(first.at_ms, 3 * kWheelSpanMs + 5);
+  EXPECT_EQ(first.payload, 1);
+  q.Push(3 * kWheelSpanMs + 5, 4);  // Same instant as the cursor: after payload 3.
+  q.Push(7, 5);                     // Into the past: clamped to the cursor.
+  q.Push(3 * kWheelSpanMs + 6, 6);
+  std::vector<std::pair<int64_t, int>> order;
+  while (!q.empty()) {
+    auto e = q.PopMin();
+    order.emplace_back(e.at_ms, e.payload);
+  }
+  const int64_t now = 3 * kWheelSpanMs + 5;
+  EXPECT_EQ(order, (std::vector<std::pair<int64_t, int>>{
+                       {now, 3}, {now, 4}, {now, 5}, {now + 1, 6}, {10 * kWheelSpanMs, 2}}));
+}
+
+// Differential check against std::multimap, which keeps equal keys in
+// insertion order: pops interleaved with pushes from 0 to 3 wheel spans out,
+// bursts at one instant, and the occasional push into the past (clamped to
+// the instant last popped).
+TEST(EventQueueTest, MatchesAnOrderedMultimapReference) {
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    SimRng rng(seed);
+    EventQueue<int> q;
+    std::multimap<int64_t, int> reference;
+    int64_t now = 0;
+    int next_payload = 0;
+    auto push = [&](int64_t at_ms) {
+      q.Push(at_ms, next_payload);
+      reference.emplace(std::max(at_ms, now), next_payload);
+      ++next_payload;
+    };
+    for (int op = 0; op < 10'000; ++op) {
+      const int64_t roll = rng.NextInt(0, 99);
+      if (roll < 45 && !reference.empty()) {
+        auto expected = reference.begin();
+        auto got = q.PopMin();
+        ASSERT_EQ(got.at_ms, expected->first) << "seed=" << seed << " op=" << op;
+        ASSERT_EQ(got.payload, expected->second) << "seed=" << seed << " op=" << op;
+        now = expected->first;
+        reference.erase(expected);
+      } else if (roll < 50) {
+        const int64_t at = now + rng.NextInt(0, 3 * kWheelSpanMs);
+        for (int64_t b = rng.NextInt(2, 12); b > 0; --b) {
+          push(at);
+        }
+      } else if (roll < 52) {
+        push(now - rng.NextInt(1, 2 * kWheelSpanMs));
+      } else if (roll < 70) {
+        push(now + rng.NextInt(0, 8));
+      } else {
+        push(now + rng.NextInt(0, 3 * kWheelSpanMs));
+      }
+      ASSERT_EQ(q.size(), reference.size());
+    }
+    while (!reference.empty()) {
+      auto expected = reference.begin();
+      auto got = q.PopMin();
+      ASSERT_EQ(got.at_ms, expected->first) << "seed=" << seed << " drain";
+      ASSERT_EQ(got.payload, expected->second) << "seed=" << seed << " drain";
+      reference.erase(expected);
+    }
+    EXPECT_TRUE(q.empty());
   }
 }
 

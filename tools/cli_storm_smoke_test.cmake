@@ -1,7 +1,8 @@
 # Storm CLI smoke test (docs/STORM.md). Dumps the stormlab ground-truth app,
 # runs `wasabi storm` at several worker counts expecting byte-identical JSON
 # reports and journals, checks the text summary names all three seeded storm
-# bugs (and only those), and exercises the strict --storm-* flag parser: every
+# bugs (and only those), that --trace-out records the storm.profile and
+# storm.sim spans without touching stdout, and exercises the strict --storm-* flag parser: every
 # malformed value must exit 2 with the usage line.
 file(REMOVE_RECURSE "${WORK_DIR}")
 file(MAKE_DIRECTORY "${WORK_DIR}")
@@ -63,6 +64,24 @@ execute_process(COMMAND "${WASABI_CLI}" storm "${app}" --jobs 4
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "storm text run failed: ${rc}")
 endif()
+
+# --trace-out records the two storm layers as spans and leaves stdout alone.
+execute_process(COMMAND "${WASABI_CLI}" storm "${app}" --jobs 4
+                        "--trace-out=${WORK_DIR}/trace.json"
+                OUTPUT_VARIABLE traced_text RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "storm --trace-out failed: ${rc}")
+endif()
+if(NOT traced_text STREQUAL text)
+  message(FATAL_ERROR "--trace-out changed the storm summary")
+endif()
+file(READ "${WORK_DIR}/trace.json" trace)
+foreach(span IN ITEMS "\"storm.profile\"" "\"storm.sim\"")
+  string(FIND "${trace}" "${span}" found)
+  if(found EQUAL -1)
+    message(FATAL_ERROR "storm --trace-out has no ${span} span")
+  endif()
+endforeach()
 foreach(expected IN ITEMS
         "STORM/missing-jitter" "STORM/unbounded-fanout" "STORM/retry-on-overload"
         "metastable=yes")

@@ -860,9 +860,10 @@ int DynamicWorkflow(const fs::path& root, const CliOptions& cli) {
     // Output-neutral storm phase: the simulation runs after the campaign and
     // feeds only the obs sinks (journal/metrics/trace, and --storm-out), so
     // stdout is byte-identical with and without --storm.
-    std::vector<EdgeRetryProfile> profiles = ExtractRetryProfiles(program, index, cli.jobs);
+    std::vector<EdgeRetryProfile> profiles =
+        ExtractRetryProfiles(program, index, cli.jobs, obs.tracer_ptr);
     StormReport storm = RunStormSim(options.app_name, profiles, cli.storm_options,
-                                    obs.journal_ptr);
+                                    obs.journal_ptr, obs.tracer_ptr);
     ExportStormStats(storm, obs.metrics_ptr, obs.tracer_ptr);
     if (!cli.storm_out.empty() &&
         !WriteFileOrComplain(cli.storm_out, StormReportToJson(storm), "storm report")) {
@@ -894,13 +895,15 @@ int StormCommand(const fs::path& root, const CliOptions& cli) {
   mj::ProgramIndex index(program);
   const std::string app = OptionsFor(root).app_name;
   ObsSinks obs(cli);
-  std::vector<EdgeRetryProfile> profiles = ExtractRetryProfiles(program, index, cli.jobs);
+  std::vector<EdgeRetryProfile> profiles =
+      ExtractRetryProfiles(program, index, cli.jobs, obs.tracer_ptr);
   if (profiles.empty()) {
     std::cerr << "error: no storm-profilable services (zero-arg handle() plus send()) under "
               << root << "\n";
     return 1;
   }
-  StormReport report = RunStormSim(app, profiles, cli.storm_options, obs.journal_ptr);
+  StormReport report =
+      RunStormSim(app, profiles, cli.storm_options, obs.journal_ptr, obs.tracer_ptr);
   ExportStormStats(report, obs.metrics_ptr, obs.tracer_ptr);
   std::string json = StormReportToJson(report);
   if (!cli.storm_out.empty() && !WriteFileOrComplain(cli.storm_out, json, "storm report")) {
