@@ -8,7 +8,7 @@ FaultInjector::FaultInjector(std::vector<InjectionPoint> points, MetricsRegistry
       skip_counts_(points_.size(), 0),
       metrics_(metrics) {}
 
-void FaultInjector::OnCall(const CallEvent& event, Interpreter& interp) {
+ObjectRef FaultInjector::OnCall(const CallEvent& event, Interpreter& interp) {
   for (size_t i = 0; i < points_.size(); ++i) {
     const InjectionPoint& point = points_[i];
     if (event.callee != point.callee) {
@@ -43,9 +43,9 @@ void FaultInjector::OnCall(const CallEvent& event, Interpreter& interp) {
                  point.callee + " from " + entry.injection_caller;
     interp.log().Append(std::move(entry));
 
-    throw ThrownException{
-        interp.MakeException(point.exception, "injected by WASABI at " + point.callee)};
+    return interp.MakeException(point.exception, "injected by WASABI at " + point.callee);
   }
+  return nullptr;
 }
 
 int FaultInjector::InjectionCount(size_t point_index) const {

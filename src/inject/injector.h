@@ -1,7 +1,7 @@
 // Fault injection for the repurposed-unit-testing workflow (§3.1.2).
 //
 // The FaultInjector is the Listing-5 handler: registered as a pointcut on the
-// interpreter, it throws the configured trigger exception the first K times
+// interpreter, it raises the configured trigger exception the first K times
 // the retried method (callee) is invoked from the coordinator method (caller),
 // and writes one log entry per injection so the oracles can count attempts and
 // check inter-attempt delays. K = 1 exercises post-retry code (HOW bugs);
@@ -26,7 +26,7 @@ inline constexpr int kInjectRepeatedly = 100;
 struct InjectionPoint {
   std::string callee;     // Qualified retried-method name.
   std::string caller;     // Qualified coordinator name; "" matches any caller.
-  std::string exception;  // Trigger exception class to throw.
+  std::string exception;  // Trigger exception class to raise.
   int max_injections = kInjectOnce;  // K.
 
   std::string Key() const { return callee + "<-" + caller + ":" + exception; }
@@ -43,8 +43,8 @@ class FaultInjector : public CallInterceptor {
                          MetricsRegistry* metrics = nullptr);
 
   // Listing 5: if this (callee, caller, exception) point has fired fewer than
-  // K times, log and throw the exception.
-  void OnCall(const CallEvent& event, Interpreter& interp) override;
+  // K times, count and log the injection and return the exception to raise.
+  ObjectRef OnCall(const CallEvent& event, Interpreter& interp) override;
 
   const std::vector<InjectionPoint>& points() const { return points_; }
 

@@ -37,6 +37,7 @@ void Interpreter::ResetForRun() {
   frozen_config_keys_.clear();
   interceptors_.clear();
   loop_observer_ = nullptr;
+  raised_ = nullptr;
   log_.Clear();
   virtual_time_ms_ = 0;
   run_epoch_ms_ = 0;
@@ -154,6 +155,10 @@ ObjectRef Interpreter::MakeException(const std::string& class_name, const std::s
 
 void Interpreter::ThrowMj(const std::string& class_name, const std::string& message) {
   throw ThrownException{MakeException(class_name, message)};
+}
+
+void Interpreter::ThrowRaised() {
+  throw ThrownException{std::exchange(raised_, nullptr)};
 }
 
 bool Interpreter::AsBool(const Value& value, mj::SourceLocation location) {
@@ -680,12 +685,16 @@ Value Interpreter::CallMethod(const mj::MethodDecl& method, ObjectRef self,
   event.callee = method.qualified_cache;
   event.site = site;
   for (CallInterceptor* interceptor : interceptors_) {
-    interceptor->OnCall(event, *this);  // May throw ThrownException.
+    if (ObjectRef exception = interceptor->OnCall(event, *this); exception != nullptr) {
+      raised_ = std::move(exception);
+      return Value{};
+    }
   }
 
   if (method.body == nullptr) {
-    ThrowMj("UnsupportedOperationException",
-            "call to method without a body: " + method.QualifiedName());
+    raised_ = MakeException("UnsupportedOperationException",
+                            "call to method without a body: " + method.QualifiedName());
+    return Value{};
   }
 
   Frame& frame = PushFrame(&method, &method.qualified_cache, std::move(self), method.max_slots);
@@ -852,7 +861,7 @@ Value Interpreter::EvalNew(const mj::NewExpr& expr) {
       ObjectRef object = NewInstance(*expr.class_ref);
       object->set_origin_stack(CaptureStack());
       if (expr.init_method != nullptr) {
-        CallMethod(*expr.init_method, object, args, nullptr);
+        CallMethod(*expr.init_method, object, args, nullptr);  // A raise passes on.
         return Value{object};
       }
       ApplyExceptionCtorArgs(*object, args);
@@ -900,6 +909,7 @@ Value Interpreter::Instantiate(const std::string& class_name, std::vector<Value>
     const mj::MethodDecl* init = index_.ResolveMethod(*cls, "init");
     if (init != nullptr) {
       CallMethod(*init, object, args, nullptr);
+      ThrowIfRaised();
       return Value{object};
     }
   }
@@ -1242,10 +1252,16 @@ Value Interpreter::Eval(const mj::Expr& expr) {
       return ReadField(std::get<ObjectRef>(base), access.field, access.field_symbol,
                        expr.location);
     }
-    case AstKind::kCall:
-      return EvalCall(static_cast<const mj::CallExpr&>(expr));
-    case AstKind::kNew:
-      return EvalNew(static_cast<const mj::NewExpr&>(expr));
+    case AstKind::kCall: {
+      Value result = EvalCall(static_cast<const mj::CallExpr&>(expr));
+      ThrowIfRaised();
+      return result;
+    }
+    case AstKind::kNew: {
+      Value result = EvalNew(static_cast<const mj::NewExpr&>(expr));
+      ThrowIfRaised();
+      return result;
+    }
     case AstKind::kUnary: {
       const auto& unary = static_cast<const mj::UnaryExpr&>(expr);
       Value operand = Eval(*unary.operand);
@@ -1568,7 +1584,9 @@ Value Interpreter::Invoke(const std::string& qualified_name, std::vector<Value> 
     ThrowMj("IllegalStateException", "no such method: " + qualified_name);
   }
   ObjectRef self = method->owner != nullptr ? SingletonOf(*method->owner) : nullptr;
-  return CallMethod(*method, std::move(self), args, nullptr);
+  Value result = CallMethod(*method, std::move(self), args, nullptr);
+  ThrowIfRaised();
+  return result;
 }
 
 }  // namespace wasabi

@@ -6,14 +6,24 @@
 //   * a virtual clock (Thread.sleep costs no wall time but advances virtual
 //     time, so the paper's 15-minute test timeout is a virtual-time budget);
 //   * AspectJ-style pointcuts: registered CallInterceptors run before every
-//     user-method call and may throw an mj exception — exactly the Listing-5
-//     fault-injection handler;
+//     user-method call and may raise an mj exception there — exactly the
+//     Listing-5 fault-injection handler;
 //   * an execution log capturing sleeps (with call stacks), injections, and
 //     application log lines for the log-based test oracles;
 //   * a step budget so buggy infinite retry loops terminate deterministically.
 //
-// mj exceptions propagate as the C++ exception ThrownException and are caught
-// by mj `try` statements; an uncaught one escapes Invoke() to the caller.
+// How an mj exception travels (docs/PERFORMANCE.md "Raising without
+// unwinding"). Across interceptors, method calls and VM frames it is a value:
+// the interpreter's one raised-exception slot. An interceptor raises by
+// returning the exception; CallMethod, EvalCall and EvalNew then return with
+// the slot set (the Value returned beside it means nothing), and the VM sends
+// it to the innermost handler armed in its chunk, or returns with the slot
+// still set. Only inside a body the tree-walker executes is it the C++
+// exception ThrownException: ThrowMj error sites, the walker's `throw`, and
+// the walker's `try`, which catches it. The walker turns the slot into a
+// ThrownException where it evaluates a call or a `new`, and Invoke and
+// Instantiate do the same, so an uncaught mj exception escapes Invoke() to
+// the caller as ThrownException.
 
 #ifndef WASABI_SRC_INTERP_INTERPRETER_H_
 #define WASABI_SRC_INTERP_INTERPRETER_H_
@@ -41,7 +51,7 @@ struct CompiledProgram;
 class VmExecutor;
 }  // namespace vm
 
-// An mj-level exception crossing C++ frames.
+// An mj exception crossing C++ frames inside tree-walker-executed code.
 struct ThrownException {
   ObjectRef exception;
 };
@@ -75,12 +85,16 @@ struct CallEvent {
 
 class Interpreter;
 
-// AspectJ-pointcut analog (§3.1.2): runs right before a callee executes and
-// may throw ThrownException to simulate a fault.
+// AspectJ-pointcut analog (§3.1.2): runs right before a callee executes.
+// Returning an exception object raises it at the call, simulating a fault:
+// the callee's body does not run, no frame is pushed, and interceptors
+// registered after this one do not see the call. Returning null lets the call
+// proceed. A host exception an interceptor throws (std::runtime_error, ...)
+// is not an mj exception and propagates as C++.
 class CallInterceptor {
  public:
   virtual ~CallInterceptor() = default;
-  virtual void OnCall(const CallEvent& event, Interpreter& interp) = 0;
+  virtual ObjectRef OnCall(const CallEvent& event, Interpreter& interp) = 0;
 };
 
 // Observes while/for back-edges with the enclosing method's qualified name
@@ -160,6 +174,7 @@ class Interpreter {
 
   // Creates an instance of `class_name` (user class, builtin exception, or
   // container), running field initializers / the `init` convention method.
+  // Throws ThrownException when one of them raises.
   Value Instantiate(const std::string& class_name, std::vector<Value> args = {});
 
   // Builds an exception object by type name; used by the fault injector.
@@ -187,8 +202,12 @@ class Interpreter {
  private:
   // The bytecode executor is an alternative body-execution strategy, not a
   // separate machine: it runs against this class's frames, budgets, caches,
-  // and log, so it needs the same access ExecBlock has.
+  // the raised-exception slot and the log, so it needs the same access
+  // ExecBlock has.
   friend class vm::VmExecutor;
+  // Tests only: puts an interpreter into states no mj run reaches (a raise
+  // left in the slot by a host exception) to prove ResetForRun clears them.
+  friend struct InterpreterTestPeer;
 
   // A flat activation record: one slot per local declaration of the method
   // (the resolution pass assigned the indices), plus parallel defined-flags
@@ -250,7 +269,8 @@ class Interpreter {
                     mj::SourceLocation location);
   // `args` is consumed (elements moved into the callee frame). By-reference so
   // EvalCall/EvalNew can pass pooled buffers instead of a fresh heap
-  // allocation per call.
+  // allocation per call. Returns with raised_ set when an interceptor or the
+  // callee raised; EvalCall and EvalNew pass that on the same way.
   Value CallMethod(const mj::MethodDecl& method, ObjectRef self, std::vector<Value>& args,
                    const mj::CallExpr* site);
 
@@ -318,6 +338,14 @@ class Interpreter {
     }
   }
   [[noreturn]] void ThrowMj(const std::string& class_name, const std::string& message);
+  // Where the walker evaluates a call or a `new`: a raise waiting in the slot
+  // becomes a ThrownException (and the slot empties).
+  void ThrowIfRaised() {
+    if (raised_ != nullptr) [[unlikely]] {
+      ThrowRaised();
+    }
+  }
+  [[noreturn]] void ThrowRaised();
   // IntDivide for op kDiv/kMod; a zero divisor throws mj ArithmeticException
   // ("division by zero" / "modulo by zero").
   int64_t DivideInt(mj::BinaryOp op, int64_t lhs, int64_t rhs);
@@ -362,6 +390,9 @@ class Interpreter {
   void NotifyLoopIteration();
 
   LoopObserver* loop_observer_ = nullptr;
+  // The raised-exception slot (see the header comment): non-null while an mj
+  // exception travels from a raise to the handler that takes it.
+  ObjectRef raised_;
   ExecutionLog log_;
   int64_t virtual_time_ms_ = 0;
   int64_t run_epoch_ms_ = 0;

@@ -1,20 +1,21 @@
 // Per-edge retry-policy extraction for the storm simulator (docs/STORM.md).
 //
 // A "service" is any mj class exposing the frontend shape the corpus storm
-// templates follow: a zero-arg `handle()` entry point that (possibly) retries
-// a downstream `send()`. Instead of statically guessing what each retry loop
-// does, the extractor RUNS `handle()` a few times under an interceptor that
-// forces `send()` to fail — the same pointcut seam the injection campaign
+// templates follow: a zero-arg `handle()` entry point, declared by the class
+// itself, that (possibly) retries a downstream `send()`, which it may
+// inherit. Instead of statically guessing what each retry loop does, the
+// extractor RUNS `handle()` a few times under an interceptor that forces the
+// resolved `send()` to fail — the same pointcut seam the injection campaign
 // uses — and measures the policy the code actually implements:
 //
 //   - probe 0 (clean):      sends per successful request  -> fan-out
-//   - probe 1 (transport):  every send throws ServiceUnavailableException;
+//   - probe 1 (transport):  every send raises ServiceUnavailableException;
 //                           attempts until give-up (budget abort = unbounded)
 //                           and the virtual-sleep schedule between attempts
 //   - probe 2 (transport'): same, with a different storm.request.id config —
 //                           a schedule that changes with request identity is
 //                           jittered, a byte-identical schedule is not
-//   - probe 3 (overload):   every send throws ResourceExhaustedException;
+//   - probe 3 (overload):   every send raises ResourceExhaustedException;
 //                           retrying instead of shedding is the
 //                           retry-on-overload signal
 //

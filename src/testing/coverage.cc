@@ -7,7 +7,7 @@ namespace wasabi {
 CoverageRecorder::CoverageRecorder(const std::vector<RetryLocation>* locations)
     : locations_(locations), seen_(locations->size(), false) {}
 
-void CoverageRecorder::OnCall(const CallEvent& event, Interpreter& /*interp*/) {
+ObjectRef CoverageRecorder::OnCall(const CallEvent& event, Interpreter& /*interp*/) {
   for (size_t i = 0; i < locations_->size(); ++i) {
     if (seen_[i]) {
       continue;
@@ -18,6 +18,7 @@ void CoverageRecorder::OnCall(const CallEvent& event, Interpreter& /*interp*/) {
       hits_.push_back(i);
     }
   }
+  return nullptr;
 }
 
 void CoverageRecorder::Reset() {

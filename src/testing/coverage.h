@@ -26,7 +26,7 @@ class CoverageRecorder : public CallInterceptor {
  public:
   explicit CoverageRecorder(const std::vector<RetryLocation>* locations);
 
-  void OnCall(const CallEvent& event, Interpreter& interp) override;
+  ObjectRef OnCall(const CallEvent& event, Interpreter& interp) override;  // Never raises.
 
   // Indices into the location vector, in order of first hit.
   const std::vector<size_t>& hits() const { return hits_; }

@@ -5,9 +5,9 @@
 // The compiler mirrors the tree-walker statement by statement. Anything it
 // lowers natively preserves the walker's evaluation order, step-accounting
 // points, and error wording exactly; anything subtle (calls, news, switch,
-// try-with-finally, throw, fallback-chain names, field targets) is delegated
-// back to the walker via the kCallTree/kNewTree/kEvalTree/kExecTree opcodes,
-// which keeps every injection pointcut and observer hook on the shared path.
+// try-with-finally, fallback-chain names, field targets) is delegated back to
+// the walker via the kCallTree/kNewTree/kEvalTree/kExecTree opcodes, which
+// keeps every injection pointcut and observer hook on the shared path.
 
 #include "src/vm/bytecode.h"
 
@@ -371,10 +371,16 @@ class MethodCompiler {
         return;
       }
 
-      // Switch (subject/label scan + fallthrough) and throw stay on the
-      // walker; both are cold next to the retry loops this engine targets.
-      case AstKind::kSwitch:
       case AstKind::kThrow:
+        Emit(Op::kStep);
+        CompileExpr(*static_cast<const mj::ThrowStmt&>(stmt).value);
+        Emit(Op::kThrow, 0, 0, 0, 0, NodeIdx(stmt));
+        Pop();
+        return;
+
+      // Switch (subject/label scan + fallthrough) stays on the walker; it is
+      // cold next to the retry loops this engine targets.
+      case AstKind::kSwitch:
       default:
         CompileExecTree(stmt);
         return;

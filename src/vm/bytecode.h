@@ -17,11 +17,15 @@
 //      de-fused semantics whenever an operand is not a defined int slot;
 //   3. delegation opcodes (kCallTree/kNewTree/kEvalTree/kExecTree) that hand
 //      a subtree to the tree-walker — calls, news, switch, try-with-finally,
-//      throw. Every observation point (CallInterceptor pointcuts, injector
-//      fire/skip sites, the per-site monomorphic dispatch cache,
-//      LoopObserver back-edges, ExecLog writes, step/virtual-time budgets)
-//      lives on those shared paths, so src/inject, src/exec and src/obs see
-//      the exact same hooks under either engine.
+//      field-target assignments. Every observation point (CallInterceptor
+//      pointcuts, injector fire/skip sites, the per-site monomorphic dispatch
+//      cache, LoopObserver back-edges, ExecLog writes, step/virtual-time
+//      budgets) lives on those shared paths, so src/inject, src/exec and
+//      src/obs see the exact same hooks under either engine.
+// `throw` and try/catch without finally are native (tier 1): an mj exception
+// reaches a handler through the interpreter's raised-exception slot, with no
+// C++ unwinding (src/interp/interpreter.h, docs/PERFORMANCE.md "Raising
+// without unwinding").
 
 #ifndef WASABI_SRC_VM_BYTECODE_H_
 #define WASABI_SRC_VM_BYTECODE_H_
@@ -97,10 +101,13 @@ enum class Op : uint8_t {
   kPushHandler,    // a=dispatch target: arm a catch handler at current depth
   kPopHandlers,    // a=count: disarm the innermost `count` handlers
   kCatch,          // a=catches[] index: subtype-match the pending exception
-  kRethrow,        // rethrow the pending exception (no clause matched)
+  kRethrow,        // re-raise the pending exception (no clause matched)
+  kThrow,          // d=ThrowStmt: raise pop; a non-object raises the walker's
+                   //   "throw of non-object value" IllegalStateException
   // --- Delegation to the tree-walker (tier 3) -------------------------------
-  kCallTree,       // d=CallExpr: push Interpreter::EvalCall (pointcuts, IC)
-  kNewTree,        // d=NewExpr: push Interpreter::EvalNew
+  kCallTree,       // d=CallExpr: push Interpreter::EvalCall (pointcuts, IC),
+                   //   or take the raise it returned with
+  kNewTree,        // d=NewExpr: push Interpreter::EvalNew, or take its raise
   kEvalTree,       // d=Expr: push Interpreter::Eval (field access, this, ...)
   kExecTree,       // d=Stmt, a=break target, b=continue target,
                    //   flags=handlers to pop before a break/continue jump:

@@ -14,6 +14,13 @@
 // same Step() accounting, same evaluation order, same error wording (slow
 // paths either call the same Interpreter helpers or re-evaluate the original
 // AST node through the tree-walker).
+//
+// An mj exception reaches a chunk in the interpreter's raised-exception slot
+// (after kCallTree/kNewTree, at kRethrow and kThrow) or, from a ThrowMj error
+// site or a subtree the walker executes, as a ThrownException that Run
+// catches and puts in the slot. Either way one routine, Unwind, sends it to
+// the innermost handler armed in this chunk; with none armed, Run returns
+// and the slot carries the exception out of the frame.
 
 #include "src/vm/vm.h"
 
@@ -94,21 +101,30 @@ Value VmExecutor::Run(Interpreter& in, const Chunk& chunk) {
     try {
       return Execute(in, chunk, stack, handlers, pending, ip);
     } catch (ThrownException& thrown) {
-      // An mj exception with a handler armed in THIS chunk: unwind the operand
-      // stack to the handler's depth and resume at its dispatch sequence. The
-      // handler is disarmed first, so exceptions thrown by a catch clause body
-      // propagate outward — exactly the tree-walker's nested-try behavior.
       // ExecutionAborted is deliberately not caught anywhere in the VM.
-      if (handlers.empty()) {
-        throw;
-      }
-      const Handler handler = handlers.back();
-      handlers.pop_back();
-      stack.resize(handler.depth);
-      pending = std::move(thrown.exception);
-      ip = handler.ip;
+      in.raised_ = std::move(thrown.exception);
+    }
+    if (!Unwind(in, stack, handlers, pending, ip)) {
+      return Value{};
     }
   }
+}
+
+bool VmExecutor::Unwind(Interpreter& in, std::vector<Value>& stack,
+                        std::vector<Handler>& handlers, ObjectRef& pending, int32_t& ip) {
+  if (handlers.empty()) {
+    return false;
+  }
+  // Unwind the operand stack to the handler's depth and resume at its
+  // dispatch sequence. The handler is disarmed first, so an exception raised
+  // by a catch clause body propagates outward — exactly the tree-walker's
+  // nested-try behavior.
+  const Handler handler = handlers.back();
+  handlers.pop_back();
+  stack.resize(handler.depth);
+  pending = std::exchange(in.raised_, nullptr);
+  ip = handler.ip;
+  return true;
 }
 
 Value VmExecutor::Execute(Interpreter& in, const Chunk& chunk, std::vector<Value>& stack,
@@ -154,11 +170,16 @@ Value VmExecutor::Execute(Interpreter& in, const Chunk& chunk, std::vector<Value
       &&case_kPopHandlers,
       &&case_kCatch,
       &&case_kRethrow,
+      &&case_kThrow,
       &&case_kCallTree,
       &&case_kNewTree,
       &&case_kEvalTree,
       &&case_kExecTree,
   };
+// GCC does not run destructors when `goto *` leaves a scope, so no opcode
+// body may hold a local with a destructor (a Value, an ObjectRef) across
+// VM_NEXT, VM_JUMP or VM_RAISE: operands are used in place on the stack and
+// popped, which destroys them.
 #define VM_CASE(name) case_##name
 #define VM_DISPATCH() goto* kDispatch[static_cast<uint8_t>(code[ip].op)]
   VM_DISPATCH();
@@ -177,6 +198,15 @@ dispatch:
   do {                                    \
     ip = static_cast<int32_t>((target)); \
     VM_DISPATCH();                        \
+  } while (0)
+// The slot holds a raise: continue at this chunk's innermost handler, or
+// leave the frame with the slot still set.
+#define VM_RAISE()                                   \
+  do {                                               \
+    if (!Unwind(in, stack, handlers, pending, ip)) { \
+      return Value{};                                \
+    }                                                \
+    VM_DISPATCH();                                   \
   } while (0)
 
     VM_CASE(kConst) : {
@@ -292,9 +322,8 @@ dispatch:
     VM_CASE(kBinary) : {
       const Insn& insn = code[ip];
       const auto op = static_cast<mj::BinaryOp>(insn.flags);
-      Value rhs = std::move(stack.back());
-      stack.pop_back();
-      Value& lhs = stack.back();
+      const Value& rhs = stack.back();
+      Value& lhs = stack[stack.size() - 2];
       const int64_t* li = std::get_if<int64_t>(&lhs);
       const int64_t* ri = std::get_if<int64_t>(&rhs);
       if (li != nullptr && ri != nullptr) [[likely]] {
@@ -302,6 +331,7 @@ dispatch:
       } else {
         lhs = in.ApplyBinary(op, lhs, rhs, chunk.nodes[insn.d]->location);
       }
+      stack.pop_back();
       VM_NEXT();
     }
 
@@ -607,14 +637,14 @@ dispatch:
 
     VM_CASE(kStoreCombine) : {
       const Insn& insn = code[ip];
-      Value rhs = std::move(stack.back());
-      stack.pop_back();
+      const Value& rhs = stack.back();
       Value& slot = frame.slots[insn.a];
       const auto op = static_cast<mj::AssignOp>(insn.flags);
       int64_t* slot_i = std::get_if<int64_t>(&slot);
       const int64_t* rhs_i = std::get_if<int64_t>(&rhs);
       if (slot_i != nullptr && rhs_i != nullptr) [[likely]] {
         *slot_i = op == mj::AssignOp::kAddAssign ? *slot_i + *rhs_i : *slot_i - *rhs_i;
+        stack.pop_back();
         VM_NEXT();
       }
       // The tree-walker's `combine`, errors at the statement's location.
@@ -626,6 +656,7 @@ dispatch:
         const int64_t new_i = in.AsInt(rhs, location);
         slot = Value{op == mj::AssignOp::kAddAssign ? old_i + new_i : old_i - new_i};
       }
+      stack.pop_back();
       VM_NEXT();
     }
 
@@ -653,15 +684,40 @@ dispatch:
       VM_NEXT();
     }
 
-    VM_CASE(kRethrow) : { throw ThrownException{std::move(pending)}; }
+    VM_CASE(kRethrow) : {
+      in.raised_ = std::move(pending);
+      VM_RAISE();
+    }
 
+    VM_CASE(kThrow) : {
+      // The walker's `throw` after its Step and operand evaluation, including
+      // the error for a non-object operand.
+      if (ObjectRef* exception = std::get_if<ObjectRef>(&stack.back())) [[likely]] {
+        in.raised_ = std::move(*exception);
+      } else {
+        in.raised_ = in.MakeException(
+            "IllegalStateException", "throw of non-object value at line " +
+                                         std::to_string(chunk.nodes[code[ip].d]->location.line));
+      }
+      stack.pop_back();
+      VM_RAISE();
+    }
+
+    // A raise leaves the pushed (meaningless) result for Unwind's stack cut
+    // or Run's stack release to destroy.
     VM_CASE(kCallTree) : {
       stack.push_back(in.EvalCall(static_cast<const mj::CallExpr&>(*chunk.nodes[code[ip].d])));
+      if (in.raised_ != nullptr) [[unlikely]] {
+        VM_RAISE();
+      }
       VM_NEXT();
     }
 
     VM_CASE(kNewTree) : {
       stack.push_back(in.EvalNew(static_cast<const mj::NewExpr&>(*chunk.nodes[code[ip].d])));
+      if (in.raised_ != nullptr) [[unlikely]] {
+        VM_RAISE();
+      }
       VM_NEXT();
     }
 
@@ -694,13 +750,14 @@ dispatch:
 
 #if !WASABI_VM_COMPUTED_GOTO
   }
-  return Value{};  // Unreachable: every opcode jumps, returns, or throws.
+  return Value{};  // Unreachable: every opcode jumps, returns, raises, or throws.
 #endif
 
 #undef VM_CASE
 #undef VM_DISPATCH
 #undef VM_NEXT
 #undef VM_JUMP
+#undef VM_RAISE
 }
 
 }  // namespace wasabi::vm

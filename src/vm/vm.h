@@ -27,9 +27,10 @@ namespace wasabi::vm {
 class VmExecutor {
  public:
   // Executes `chunk` in the interpreter's current frame. Returns the method's
-  // return value (null for fall-off / unanswered break/continue). Throws
-  // ThrownException for uncaught mj exceptions and ExecutionAborted for
-  // budget/depth aborts, exactly like the tree-walker's ExecBlock path.
+  // return value (null for fall-off / unanswered break/continue), or returns
+  // with the interpreter's raised-exception slot set when an mj exception
+  // leaves the frame uncaught. Throws ExecutionAborted for budget/depth
+  // aborts, exactly like the tree-walker's ExecBlock path.
   static Value Run(Interpreter& interp, const Chunk& chunk);
 
  private:
@@ -42,6 +43,13 @@ class VmExecutor {
 
   static Value Execute(Interpreter& interp, const Chunk& chunk, std::vector<Value>& stack,
                        std::vector<Handler>& handlers, ObjectRef& pending, int32_t& ip);
+
+  // Sends the exception in the raised-exception slot to the innermost armed
+  // handler: disarms it, unwinds `stack` to its depth, moves the exception
+  // into `pending` and sets `ip` to its dispatch sequence. Returns false,
+  // leaving the slot set, when no handler is armed.
+  static bool Unwind(Interpreter& interp, std::vector<Value>& stack,
+                     std::vector<Handler>& handlers, ObjectRef& pending, int32_t& ip);
 
   // Int-int binary kernel: the tree-walker's EvalBinaryFast all-int arm,
   // including the division/modulo-by-zero errors.

@@ -620,10 +620,11 @@ TEST_F(InterpTest, CrossUnitCalls) {
 
 class CountingInterceptor : public CallInterceptor {
  public:
-  void OnCall(const CallEvent& event, Interpreter&) override {
+  ObjectRef OnCall(const CallEvent& event, Interpreter&) override {
     ++calls;
     last_caller = event.caller;
     last_callee = event.callee;
+    return nullptr;
   }
   int calls = 0;
   std::string last_caller;
@@ -644,11 +645,12 @@ class ThrowOnceInterceptor : public CallInterceptor {
  public:
   ThrowOnceInterceptor(std::string callee, std::string exception)
       : callee_(std::move(callee)), exception_(std::move(exception)) {}
-  void OnCall(const CallEvent& event, Interpreter& interp) override {
+  ObjectRef OnCall(const CallEvent& event, Interpreter& interp) override {
     if (event.callee == callee_ && !fired_) {
       fired_ = true;
-      throw ThrownException{interp.MakeException(exception_, "injected")};
+      return interp.MakeException(exception_, "injected");
     }
+    return nullptr;
   }
 
  private:

@@ -7,10 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "src/corpus/corpus.h"
+#include "src/lang/diagnostics.h"
+#include "src/lang/parser.h"
 
 namespace wasabi {
 namespace {
@@ -111,6 +114,95 @@ TEST_F(StormProfileTest, ExtractionIsIdenticalAtAnyWorkerCount) {
         ExtractRetryProfiles(app_->program, *app_->index, jobs);
     EXPECT_EQ(parallel, *profiles_) << "jobs=" << jobs;
   }
+}
+
+// Services and send() across class hierarchies: InheritSvc retries a send()
+// it inherits from BaseSender, OwnSvc is its twin with its own send(), and
+// SubSvc only inherits OwnSvc's handle(), so it is no edge of its own.
+constexpr const char* kHierarchySource = R"(
+class BaseSender {
+  int sent = 0;
+  void send() throws ServiceUnavailableException {
+    this.sent = this.sent + 1;
+  }
+}
+class InheritSvc extends BaseSender {
+  void handle() {
+    for (var attempt = 1; attempt <= 5; attempt++) {
+      try {
+        this.send();
+        return;
+      } catch (ServiceUnavailableException e) {
+        Thread.sleep(100);
+      }
+    }
+  }
+}
+class OwnSvc {
+  int sent = 0;
+  void send() throws ServiceUnavailableException {
+    this.sent = this.sent + 1;
+  }
+  void handle() {
+    for (var attempt = 1; attempt <= 5; attempt++) {
+      try {
+        this.send();
+        return;
+      } catch (ServiceUnavailableException e) {
+        Thread.sleep(100);
+      }
+    }
+  }
+}
+class SubSvc extends OwnSvc {
+}
+)";
+
+class StormHierarchyTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    mj::DiagnosticEngine diag;
+    program_.AddUnit(mj::ParseSource("hierarchy.mj", kHierarchySource, diag));
+    ASSERT_FALSE(diag.has_errors()) << diag.FormatAll(nullptr);
+    index_ = std::make_unique<mj::ProgramIndex>(program_);
+    profiles_ = ExtractRetryProfiles(program_, *index_, /*jobs=*/1);
+  }
+
+  const EdgeRetryProfile* Find(const std::string& service) const {
+    for (const EdgeRetryProfile& p : profiles_) {
+      if (p.service == service) {
+        return &p;
+      }
+    }
+    return nullptr;
+  }
+
+  mj::Program program_;
+  std::unique_ptr<mj::ProgramIndex> index_;
+  std::vector<EdgeRetryProfile> profiles_;
+};
+
+TEST_F(StormHierarchyTest, InheritedSendProfilesLikeItsOwnSendTwin) {
+  const EdgeRetryProfile* inherited = Find("InheritSvc");
+  const EdgeRetryProfile* own = Find("OwnSvc");
+  ASSERT_NE(inherited, nullptr);
+  ASSERT_NE(own, nullptr);
+  for (const EdgeRetryProfile* p : {inherited, own}) {
+    SCOPED_TRACE(p->service);
+    EXPECT_TRUE(p->bounded);
+    EXPECT_EQ(p->attempts, 5);
+    EXPECT_EQ(p->backoff_ms, (std::vector<int64_t>{100, 100, 100, 100, 100}));
+    EXPECT_FALSE(p->jittered);
+    EXPECT_FALSE(p->retries_on_overload);
+    EXPECT_EQ(p->fanout, 1);
+  }
+}
+
+TEST_F(StormHierarchyTest, ASubclassInheritingHandleIsNoEdge) {
+  ASSERT_EQ(profiles_.size(), 2u);
+  EXPECT_EQ(profiles_[0].service, "InheritSvc");
+  EXPECT_EQ(profiles_[1].service, "OwnSvc");
+  EXPECT_EQ(Find("SubSvc"), nullptr);
 }
 
 }  // namespace

@@ -400,21 +400,21 @@ TEST(CauseChainOracle, WrapDepthTwoIsPrunedOnlyWithCauseChainScan) {
   }
 }
 
-// Throws an exception whose cause chain is a two-node CYCLE — buildable only
+// Raises an exception whose cause chain is a two-node CYCLE — buildable only
 // from the host side (mj constructors set causes at creation, so mj programs
 // cannot close the loop). The runner must terminate while extracting it.
 class CyclicCauseInterceptor : public CallInterceptor {
  public:
-  void OnCall(const CallEvent& event, Interpreter& interp) override {
+  ObjectRef OnCall(const CallEvent& event, Interpreter& interp) override {
     if (event.callee != "Cyclic.op" || fired_) {
-      return;
+      return nullptr;
     }
     fired_ = true;
     ObjectRef outer = interp.MakeException("RuntimeException", "wrapper in a cause cycle");
     ObjectRef inner = interp.MakeException("IOException", "inner in a cause cycle");
     outer->set_cause(inner);
     inner->set_cause(outer);
-    throw ThrownException{outer};
+    return outer;
   }
 
  private:

@@ -1,15 +1,16 @@
 // The reuse contract of TestRunner's warm interpreters: a run that leaves
 // every kind of per-run state behind (a mutated singleton, a Config.set, a
 // skewed clock that advanced, the degraded-environment flag, an interceptor,
-// a loop observer, log entries) must be invisible to the next run on the
-// same interpreter, also when a host exception cut the run short. Checked
-// serially and on a 4-worker pool, where every worker reuses its own
-// interpreter across many dirty/fresh pairs.
+// a loop observer, log entries, a raise left in the raised-exception slot)
+// must be invisible to the next run on the same interpreter, also when a host
+// exception cut the run short. Checked serially and on a 4-worker pool, where
+// every worker reuses its own interpreter across many dirty/fresh pairs.
 
 #include <memory>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -21,6 +22,14 @@
 #include "src/testing/runner.h"
 
 namespace wasabi {
+
+// Befriended by Interpreter: reaches the raised-exception slot directly.
+struct InterpreterTestPeer {
+  static void SetRaised(Interpreter& interp, ObjectRef exception) {
+    interp.raised_ = std::move(exception);
+  }
+};
+
 namespace {
 
 // testDirty asserts that its perturbation reached it, then dirties all the
@@ -171,10 +180,11 @@ TEST_F(RunnerReuseTest, FreshRunSeesNoStateFromTheDirtyRunBeforeIt) {
 // escaping mid-call leaves the interpreter dirty, frames still pushed; the
 // reset on the next hand-out must still give a fresh run.
 struct HostFault : CallInterceptor {
-  void OnCall(const CallEvent& event, Interpreter& /*interp*/) override {
+  ObjectRef OnCall(const CallEvent& event, Interpreter& /*interp*/) override {
     if (event.callee == "Remote.call") {
       throw std::runtime_error("host fault");
     }
+    return nullptr;
   }
 };
 
@@ -187,6 +197,35 @@ TEST_F(RunnerReuseTest, HostExceptionEscapingARunLeaksNothing) {
                std::runtime_error);
   TestRunRecord fresh = runner_->RunTest(TestCase{"ReuseTest.testFresh"});
   EXPECT_EQ(fresh.outcome.status, TestStatus::kPassed) << fresh.outcome.exception_message;
+  EXPECT_EQ(fresh.log.Dump(), reference_.log.Dump());
+  EXPECT_EQ(fresh.steps, reference_.steps);
+}
+
+// No mj run ends with a raise still in the slot: every call boundary takes it.
+// A host exception escaping between the raise and the handler would leave it
+// there, so this fault puts one in the slot and then throws. Unless the reset
+// empties the slot, the next run's first call boundary delivers the stale
+// IOException.
+struct HostFaultMidRaise : CallInterceptor {
+  ObjectRef OnCall(const CallEvent& event, Interpreter& interp) override {
+    if (event.callee == "Remote.call") {
+      InterpreterTestPeer::SetRaised(interp, interp.MakeException("IOException", "stale raise"));
+      throw std::runtime_error("host fault mid-raise");
+    }
+    return nullptr;
+  }
+};
+
+TEST_F(RunnerReuseTest, RaiseLeftInTheSlotIsClearedForTheNextRun) {
+  HostFaultMidRaise fault;
+  RunPerturbation perturbation;
+  perturbation.virtual_clock_epoch_ms = 5000;
+  perturbation.chaos_degraded_env = true;
+  EXPECT_THROW(runner_->RunTest(TestCase{"ReuseTest.testDirty"}, {&fault}, perturbation),
+               std::runtime_error);
+  TestRunRecord fresh = runner_->RunTest(TestCase{"ReuseTest.testFresh"});
+  EXPECT_EQ(fresh.outcome.status, TestStatus::kPassed)
+      << fresh.outcome.exception_class << ": " << fresh.outcome.exception_message;
   EXPECT_EQ(fresh.log.Dump(), reference_.log.Dump());
   EXPECT_EQ(fresh.steps, reference_.steps);
 }
