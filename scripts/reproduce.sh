@@ -126,29 +126,24 @@ else
   echo "note: compiler does not support -fsanitize=thread; skipping TSan pass"
 fi
 
-# AddressSanitizer pass over the fault-containment tests (label "robust":
-# exception capture, quarantine bookkeeping, degraded-mode parsing — the
-# lifetime-sensitive paths; see docs/ROBUSTNESS.md) plus the "perf" golden
-# tests, which exercise the interner's string_view tokens and the runner's
-# frame reuse — the overhaul's lifetime-sensitive surface — plus the "fuzz"
-# grammar fuzzer (500 random programs through lexer/parser/printer/interpreter)
-# and the "cache" suites (corruption-fallback paths parse hostile bytes; see
-# docs/CACHING.md), plus the "flaky"/"replay" suites (record parsing rejects
-# truncated/bit-flipped/version-skewed bytes; see docs/FLAKINESS.md), plus
-# the "vm" suites (the bytecode executor's pooled operand stacks and slow-path
-# tree replays are lifetime-sensitive; see docs/PERFORMANCE.md), plus the
-# "repair" suites (AST rewrites re-parse patched sources and rebuild program
-# indexes per validation run; see docs/REPAIR.md). Same separate-tree and
-# probe-then-skip structure as the TSan pass above.
+# AddressSanitizer + UndefinedBehaviorSanitizer pass over the whole suite, in
+# a separate build tree (every UBSan report aborts its test, and LeakSanitizer
+# checks every test binary at exit). The lifetime-sensitive surfaces it covers
+# include exception capture and quarantine bookkeeping (docs/ROBUSTNESS.md),
+# the interner's string_view tokens and the runner's frame reuse, the grammar
+# and codec fuzzers, cache/record parsing of hostile bytes (docs/CACHING.md,
+# docs/FLAKINESS.md), the bytecode executor's pooled operand stacks
+# (docs/PERFORMANCE.md), and the repair loop's re-parsed patched sources
+# (docs/REPAIR.md). Same probe-then-skip structure as the TSan pass above.
 if echo 'int main(){return 0;}' |
-   c++ -x c++ -fsanitize=address -o /tmp/wasabi_asan_probe - 2>/dev/null; then
+   c++ -x c++ -fsanitize=address,undefined -o /tmp/wasabi_asan_probe - 2>/dev/null; then
   rm -f /tmp/wasabi_asan_probe
-  cmake -B "$build_dir-asan" -G Ninja -S "$repo_root" -DWASABI_ASAN=ON
+  cmake -B "$build_dir-asan" -G Ninja -S "$repo_root" -DWASABI_ASAN=ON -DWASABI_UBSAN=ON
   cmake --build "$build_dir-asan"
-  ctest --test-dir "$build_dir-asan" -L 'robust|perf|fuzz|cache|flaky|replay|obsjournal|storm|vm|repair' --output-on-failure \
+  ctest --test-dir "$build_dir-asan" --output-on-failure \
     2>&1 | tee "$repo_root/asan_output.txt"
 else
-  echo "note: compiler does not support -fsanitize=address; skipping ASan pass"
+  echo "note: compiler does not support -fsanitize=address,undefined; skipping ASan+UBSan pass"
 fi
 
 echo

@@ -283,9 +283,9 @@ int64_t IntPow(int64_t base, int64_t exponent) {
   }
   int64_t result = 1;
   for (int64_t i = 0; i < exponent && i < 62; ++i) {
-    result *= base;
+    result = WrapMul(result, base);
     if (result > (int64_t{1} << 52)) {
-      return result;  // Clamp-ish: avoid overflow in pathological backoffs.
+      return result;  // Clamp-ish: stop growing pathological backoffs.
     }
   }
   return result;
@@ -408,7 +408,7 @@ bool Interpreter::TryBuiltinStatic(const std::string& receiver, const mj::CallEx
     }
     if (call.callee == "abs" && args.size() == 1) {
       int64_t v = AsInt(args[0], call.location);
-      *result = Value{v < 0 ? -v : v};
+      *result = Value{v < 0 ? WrapNeg(v) : v};
       return true;
     }
     return false;
@@ -921,212 +921,6 @@ Value Interpreter::Instantiate(const std::string& class_name, std::vector<Value>
 // Expressions
 // ---------------------------------------------------------------------------
 
-bool Interpreter::EvalIntOperand(const mj::Expr& expr, int64_t* out, Value* boxed) {
-  switch (expr.kind) {
-    case AstKind::kIntLiteral:
-      *out = static_cast<const mj::IntLiteralExpr&>(expr).value;
-      return true;
-    case AstKind::kName: {
-      const auto& name = static_cast<const mj::NameExpr&>(expr);
-      if (Value* local = LookupName(name); local != nullptr) {
-        if (const int64_t* i = std::get_if<int64_t>(local)) {
-          *out = *i;
-          return true;
-        }
-        *boxed = *local;
-        return false;
-      }
-      ThrowMj("IllegalStateException", "undefined variable '" + name.name + "' at line " +
-                                           std::to_string(expr.location.line));
-    }
-    case AstKind::kBinary:
-      // Nested int arithmetic chains through without a Value per node.
-      return EvalBinaryFast(static_cast<const mj::BinaryExpr&>(expr), out, boxed);
-    case AstKind::kUnary: {
-      const auto& unary = static_cast<const mj::UnaryExpr&>(expr);
-      if (unary.op != mj::UnaryOp::kNot) {
-        int64_t operand = 0;
-        if (EvalIntOperand(*unary.operand, &operand, boxed)) {
-          *out = -operand;
-          return true;
-        }
-        *out = -AsInt(*boxed, expr.location);  // Type error at the unary, as in Eval.
-        return true;
-      }
-      *boxed = Eval(expr);
-      return false;  // `!x` is a bool; never an int.
-    }
-    default: {
-      *boxed = Eval(expr);
-      if (const int64_t* i = std::get_if<int64_t>(boxed)) {
-        *out = *i;
-        return true;
-      }
-      return false;
-    }
-  }
-}
-
-bool Interpreter::EvalBool(const mj::Expr& expr, mj::SourceLocation location) {
-  if (expr.kind == AstKind::kBinary) {
-    const auto& bin = static_cast<const mj::BinaryExpr&>(expr);
-    switch (bin.op) {
-      // Comparisons — the dominant loop-condition shape — produce the raw
-      // bool without a boxed Value. Operand evaluation order and the AsInt
-      // type errors (both at the comparison's location) match EvalBinaryFast.
-      case mj::BinaryOp::kLt:
-      case mj::BinaryOp::kLe:
-      case mj::BinaryOp::kGt:
-      case mj::BinaryOp::kGe: {
-        int64_t li = 0;
-        int64_t ri = 0;
-        Value lhs;
-        Value rhs;
-        const bool lok = EvalIntOperand(*bin.lhs, &li, &lhs);
-        const bool rok = EvalIntOperand(*bin.rhs, &ri, &rhs);
-        if (!lok || !rok) {
-          li = AsInt(lok ? Value{li} : lhs, bin.location);
-          ri = AsInt(rok ? Value{ri} : rhs, bin.location);
-        }
-        switch (bin.op) {
-          case mj::BinaryOp::kLt:
-            return li < ri;
-          case mj::BinaryOp::kLe:
-            return li <= ri;
-          case mj::BinaryOp::kGt:
-            return li > ri;
-          default:
-            return li >= ri;
-        }
-      }
-      default: {
-        int64_t out = 0;
-        Value boxed;
-        if (EvalBinaryFast(bin, &out, &boxed)) {
-          ThrowTypeError("bool", Value{out}, location);  // An int is never a condition.
-        }
-        return AsBool(boxed, location);
-      }
-    }
-  }
-  return AsBool(Eval(expr), location);
-}
-
-bool Interpreter::EvalBinaryFast(const mj::BinaryExpr& expr, int64_t* out, Value* boxed) {
-  using mj::BinaryOp;
-  // Short-circuit operators first.
-  if (expr.op == BinaryOp::kAnd || expr.op == BinaryOp::kOr) {
-    bool lhs = EvalBool(*expr.lhs, expr.location);
-    if (expr.op == BinaryOp::kAnd && !lhs) {
-      *boxed = Value{false};
-      return false;
-    }
-    if (expr.op == BinaryOp::kOr && lhs) {
-      *boxed = Value{true};
-      return false;
-    }
-    *boxed = Value{EvalBool(*expr.rhs, expr.location)};
-    return false;
-  }
-
-  // Hot integer path: arithmetic and comparisons on two ints run without
-  // materializing operand Values. Both operands are fully evaluated before any
-  // type check (matching the boxed path, which Evals both and then converts),
-  // and a non-int on either side re-boxes and falls through to the original
-  // switch, so error ordering, messages, and string `+` stay byte-identical.
-  int64_t li = 0;
-  int64_t ri = 0;
-  Value lhs;
-  Value rhs;
-  const bool lok = EvalIntOperand(*expr.lhs, &li, &lhs);
-  const bool rok = EvalIntOperand(*expr.rhs, &ri, &rhs);
-  if (lok && rok) {
-    switch (expr.op) {
-      case BinaryOp::kAdd:
-        *out = li + ri;
-        return true;
-      case BinaryOp::kSub:
-        *out = li - ri;
-        return true;
-      case BinaryOp::kMul:
-        *out = li * ri;
-        return true;
-      case BinaryOp::kDiv:
-      case BinaryOp::kMod:
-        *out = DivideInt(expr.op, li, ri);
-        return true;
-      case BinaryOp::kEq:
-        *boxed = Value{li == ri};
-        return false;
-      case BinaryOp::kNe:
-        *boxed = Value{li != ri};
-        return false;
-      case BinaryOp::kLt:
-        *boxed = Value{li < ri};
-        return false;
-      case BinaryOp::kLe:
-        *boxed = Value{li <= ri};
-        return false;
-      case BinaryOp::kGt:
-        *boxed = Value{li > ri};
-        return false;
-      case BinaryOp::kGe:
-        *boxed = Value{li >= ri};
-        return false;
-      default:
-        ThrowMj("IllegalStateException", "unsupported binary operator");
-    }
-  }
-  if (lok) {
-    lhs = Value{li};
-  }
-  if (rok) {
-    rhs = Value{ri};
-  }
-  switch (expr.op) {
-    case BinaryOp::kAdd:
-      if (IsString(lhs) || IsString(rhs)) {
-        *boxed = Value{ValueToString(lhs) + ValueToString(rhs)};
-        return false;
-      }
-      *out = AsInt(lhs, expr.location) + AsInt(rhs, expr.location);
-      return true;
-    case BinaryOp::kSub:
-      *out = AsInt(lhs, expr.location) - AsInt(rhs, expr.location);
-      return true;
-    case BinaryOp::kMul:
-      *out = AsInt(lhs, expr.location) * AsInt(rhs, expr.location);
-      return true;
-    case BinaryOp::kDiv:
-    case BinaryOp::kMod: {
-      // The divisor is coerced and zero-checked before the dividend.
-      const int64_t divisor = AsInt(rhs, expr.location);
-      *out = DivideInt(expr.op, divisor == 0 ? 0 : AsInt(lhs, expr.location), divisor);
-      return true;
-    }
-    case BinaryOp::kEq:
-      *boxed = Value{ValueEquals(lhs, rhs)};
-      return false;
-    case BinaryOp::kNe:
-      *boxed = Value{!ValueEquals(lhs, rhs)};
-      return false;
-    case BinaryOp::kLt:
-      *boxed = Value{AsInt(lhs, expr.location) < AsInt(rhs, expr.location)};
-      return false;
-    case BinaryOp::kLe:
-      *boxed = Value{AsInt(lhs, expr.location) <= AsInt(rhs, expr.location)};
-      return false;
-    case BinaryOp::kGt:
-      *boxed = Value{AsInt(lhs, expr.location) > AsInt(rhs, expr.location)};
-      return false;
-    case BinaryOp::kGe:
-      *boxed = Value{AsInt(lhs, expr.location) >= AsInt(rhs, expr.location)};
-      return false;
-    default:
-      ThrowMj("IllegalStateException", "unsupported binary operator");
-  }
-}
-
 int64_t Interpreter::DivideInt(mj::BinaryOp op, int64_t lhs, int64_t rhs) {
   const bool modulo = op == mj::BinaryOp::kMod;
   int64_t result = 0;
@@ -1139,19 +933,19 @@ int64_t Interpreter::DivideInt(mj::BinaryOp op, int64_t lhs, int64_t rhs) {
 Value Interpreter::ApplyBinary(mj::BinaryOp op, const Value& lhs, const Value& rhs,
                                mj::SourceLocation location) {
   using mj::BinaryOp;
-  // Int-int first (the VM normally handles this inline; kept for safety), then
-  // the boxed tail — the same order, coercion locations, and messages as
-  // EvalBinaryFast with both operands already evaluated.
+  // Int-int, the common case, first; then the boxed arm, which yields the
+  // same result for two ints and owns string `+`, ValueEquals and the type
+  // errors.
   const int64_t* li = std::get_if<int64_t>(&lhs);
   const int64_t* ri = std::get_if<int64_t>(&rhs);
   if (li != nullptr && ri != nullptr) {
     switch (op) {
       case BinaryOp::kAdd:
-        return Value{*li + *ri};
+        return Value{WrapAdd(*li, *ri)};
       case BinaryOp::kSub:
-        return Value{*li - *ri};
+        return Value{WrapSub(*li, *ri)};
       case BinaryOp::kMul:
-        return Value{*li * *ri};
+        return Value{WrapMul(*li, *ri)};
       case BinaryOp::kDiv:
       case BinaryOp::kMod:
         return Value{DivideInt(op, *li, *ri)};
@@ -1176,11 +970,11 @@ Value Interpreter::ApplyBinary(mj::BinaryOp op, const Value& lhs, const Value& r
       if (IsString(lhs) || IsString(rhs)) {
         return Value{ValueToString(lhs) + ValueToString(rhs)};
       }
-      return Value{AsInt(lhs, location) + AsInt(rhs, location)};
+      return Value{WrapAdd(AsInt(lhs, location), AsInt(rhs, location))};
     case BinaryOp::kSub:
-      return Value{AsInt(lhs, location) - AsInt(rhs, location)};
+      return Value{WrapSub(AsInt(lhs, location), AsInt(rhs, location))};
     case BinaryOp::kMul:
-      return Value{AsInt(lhs, location) * AsInt(rhs, location)};
+      return Value{WrapMul(AsInt(lhs, location), AsInt(rhs, location))};
     case BinaryOp::kDiv:
     case BinaryOp::kMod: {
       // The divisor is coerced and zero-checked before the dividend.
@@ -1204,13 +998,31 @@ Value Interpreter::ApplyBinary(mj::BinaryOp op, const Value& lhs, const Value& r
   }
 }
 
-Value Interpreter::EvalBinary(const mj::BinaryExpr& expr) {
-  int64_t out = 0;
-  Value boxed;
-  if (EvalBinaryFast(expr, &out, &boxed)) {
-    return Value{out};
+Value Interpreter::CombineAssign(mj::AssignOp op, const Value& old_value, const Value& rhs,
+                                 mj::SourceLocation location) {
+  if (op == mj::AssignOp::kAddAssign) {
+    if (IsString(old_value) || IsString(rhs)) {
+      return Value{ValueToString(old_value) + ValueToString(rhs)};
+    }
+    return Value{WrapAdd(AsInt(old_value, location), AsInt(rhs, location))};
   }
-  return boxed;
+  return Value{WrapSub(AsInt(old_value, location), AsInt(rhs, location))};
+}
+
+Value Interpreter::EvalBinary(const mj::BinaryExpr& expr) {
+  // Short-circuit operators coerce their operands at the binary's own
+  // location and evaluate the rhs only when the lhs does not decide.
+  if (expr.op == mj::BinaryOp::kAnd || expr.op == mj::BinaryOp::kOr) {
+    const bool lhs = AsBool(Eval(*expr.lhs), expr.location);
+    if (lhs == (expr.op == mj::BinaryOp::kOr)) {
+      return Value{lhs};
+    }
+    return Value{AsBool(Eval(*expr.rhs), expr.location)};
+  }
+  // Both operands evaluate before any type check.
+  Value lhs = Eval(*expr.lhs);
+  Value rhs = Eval(*expr.rhs);
+  return ApplyBinary(expr.op, lhs, rhs, expr.location);
 }
 
 Value Interpreter::Eval(const mj::Expr& expr) {
@@ -1268,7 +1080,7 @@ Value Interpreter::Eval(const mj::Expr& expr) {
       if (unary.op == mj::UnaryOp::kNot) {
         return Value{!AsBool(operand, expr.location)};
       }
-      return Value{-AsInt(operand, expr.location)};
+      return Value{WrapNeg(AsInt(operand, expr.location))};
     }
     case AstKind::kBinary:
       return EvalBinary(static_cast<const mj::BinaryExpr&>(expr));
@@ -1323,20 +1135,6 @@ Interpreter::Flow Interpreter::ExecStmt(const mj::Stmt& stmt) {
 
     case AstKind::kAssign: {
       const auto& assign = static_cast<const mj::AssignStmt&>(stmt);
-      auto combine = [&](const Value& old_value, const Value& new_value) -> Value {
-        switch (assign.op) {
-          case mj::AssignOp::kAssign:
-            return new_value;
-          case mj::AssignOp::kAddAssign:
-            if (IsString(old_value) || IsString(new_value)) {
-              return Value{ValueToString(old_value) + ValueToString(new_value)};
-            }
-            return Value{AsInt(old_value, stmt.location) + AsInt(new_value, stmt.location)};
-          case mj::AssignOp::kSubAssign:
-            return Value{AsInt(old_value, stmt.location) - AsInt(new_value, stmt.location)};
-        }
-        return new_value;
-      };
       if (assign.target->kind == AstKind::kName) {
         const auto* name = static_cast<const mj::NameExpr*>(assign.target);
         // The slot pointer stays valid across Eval: live frames are fixed-size
@@ -1346,35 +1144,12 @@ Interpreter::Flow Interpreter::ExecStmt(const mj::Stmt& stmt) {
           ThrowMj("IllegalStateException", "assignment to undefined variable '" + name->name +
                                                "' at line " + std::to_string(stmt.location.line));
         }
-        // Int results flow from the rhs into an int-holding slot as a plain
-        // store — no intermediate Value, no variant assignment (which must
-        // dispatch on the old alternative to destroy it). Everything else
-        // takes the original combine path, which owns the string-concat and
-        // type-error behavior.
-        int64_t ri = 0;
-        Value rhs;
-        const bool rok = EvalIntOperand(*assign.value, &ri, &rhs);
-        int64_t* slot_i = std::get_if<int64_t>(slot);
+        Value rhs = Eval(*assign.value);
         if (assign.op == mj::AssignOp::kAssign) {
-          if (rok) {
-            if (slot_i != nullptr) {
-              *slot_i = ri;
-            } else {
-              *slot = Value{ri};
-            }
-          } else {
-            *slot = std::move(rhs);
-          }
-          return Flow{};
+          *slot = std::move(rhs);
+        } else {
+          *slot = CombineAssign(assign.op, *slot, rhs, stmt.location);
         }
-        if (rok && slot_i != nullptr) {
-          *slot_i = assign.op == mj::AssignOp::kAddAssign ? *slot_i + ri : *slot_i - ri;
-          return Flow{};
-        }
-        if (rok) {
-          rhs = Value{ri};
-        }
-        *slot = combine(*slot, rhs);
         return Flow{};
       }
       const auto* access = static_cast<const mj::FieldAccessExpr*>(assign.target);
@@ -1392,7 +1167,8 @@ Interpreter::Flow Interpreter::ExecStmt(const mj::Stmt& stmt) {
         WriteField(object, access->field, access->field_symbol, std::move(rhs));
       } else {
         Value old_value = ReadField(object, access->field, access->field_symbol, stmt.location);
-        WriteField(object, access->field, access->field_symbol, combine(old_value, rhs));
+        WriteField(object, access->field, access->field_symbol,
+                   CombineAssign(assign.op, old_value, rhs, stmt.location));
       }
       return Flow{};
     }
@@ -1403,7 +1179,7 @@ Interpreter::Flow Interpreter::ExecStmt(const mj::Stmt& stmt) {
 
     case AstKind::kIf: {
       const auto& node = static_cast<const mj::IfStmt&>(stmt);
-      if (EvalBool(*node.condition, stmt.location)) {
+      if (AsBool(Eval(*node.condition), stmt.location)) {
         return ExecStmt(*node.then_branch);
       }
       if (node.else_branch != nullptr) {
@@ -1414,7 +1190,7 @@ Interpreter::Flow Interpreter::ExecStmt(const mj::Stmt& stmt) {
 
     case AstKind::kWhile: {
       const auto& node = static_cast<const mj::WhileStmt&>(stmt);
-      while (EvalBool(*node.condition, stmt.location)) {
+      while (AsBool(Eval(*node.condition), stmt.location)) {
         Step();
         ++loop_iterations_;
         if (loop_observer_ != nullptr) {
@@ -1443,7 +1219,7 @@ Interpreter::Flow Interpreter::ExecStmt(const mj::Stmt& stmt) {
           return flow;
         }
       }
-      while (node.condition == nullptr || EvalBool(*node.condition, stmt.location)) {
+      while (node.condition == nullptr || AsBool(Eval(*node.condition), stmt.location)) {
         Step();
         ++loop_iterations_;
         if (loop_observer_ != nullptr) {

@@ -107,17 +107,33 @@ class LoopObserver {
   virtual void OnLoopIteration(std::string_view method, int64_t virtual_ms) = 0;
 };
 
+// mj's integer `+`, `-`, `*` and negation, with Java `long` wrap-around: the
+// result is taken modulo 2^64 (computed in uint64_t, where C++ defines
+// overflow) instead of being the signed overflow C++ leaves undefined. Both
+// engines and the Math builtins route every such operation through these.
+inline int64_t WrapAdd(int64_t lhs, int64_t rhs) {
+  return static_cast<int64_t>(static_cast<uint64_t>(lhs) + static_cast<uint64_t>(rhs));
+}
+inline int64_t WrapSub(int64_t lhs, int64_t rhs) {
+  return static_cast<int64_t>(static_cast<uint64_t>(lhs) - static_cast<uint64_t>(rhs));
+}
+inline int64_t WrapMul(int64_t lhs, int64_t rhs) {
+  return static_cast<int64_t>(static_cast<uint64_t>(lhs) * static_cast<uint64_t>(rhs));
+}
+inline int64_t WrapNeg(int64_t value) {
+  return static_cast<int64_t>(0 - static_cast<uint64_t>(value));
+}
+
 // mj's integer `/` (and `%` when `modulo`), with Java `long` semantics:
 // truncation toward zero, and the one quotient C++ leaves undefined wraps
 // instead of trapping (MIN / -1 == MIN, MIN % -1 == 0). Returns false on a
-// zero divisor, which each engine reports its own way: ArithmeticException,
-// or the VM's bail to the tree walker.
+// zero divisor, which Interpreter::DivideInt reports as ArithmeticException.
 inline bool IntDivide(int64_t lhs, int64_t rhs, bool modulo, int64_t* out) {
   if (rhs == 0) {
     return false;
   }
   if (rhs == -1) {
-    *out = modulo ? 0 : static_cast<int64_t>(0 - static_cast<uint64_t>(lhs));
+    *out = modulo ? 0 : WrapNeg(lhs);
     return true;
   }
   *out = modulo ? lhs % rhs : lhs / rhs;
@@ -126,9 +142,10 @@ inline bool IntDivide(int64_t lhs, int64_t rhs, bool modulo, int64_t* out) {
 
 // Which engine executes method bodies (docs/PERFORMANCE.md "Bytecode VM").
 // Both are byte-identical in every observable: verdicts, logs, step counts,
-// error wording, abort kinds. The VM exists purely for throughput.
+// error wording, abort kinds. The VM exists purely for throughput; the tests
+// run the walker as the reference it is compared against.
 enum class EngineKind : uint8_t {
-  kVm,    // Flat bytecode, threaded dispatch, superinstructions (src/vm).
+  kVm,    // Flat bytecode, threaded dispatch (src/vm).
   kTree,  // The original AST-walking evaluator; the reference semantics.
 };
 
@@ -242,31 +259,22 @@ class Interpreter {
   Value Eval(const mj::Expr& expr);
 
   Value EvalCall(const mj::CallExpr& call);
+  // `&&`/`||` short-circuit; every other operator evaluates both operands,
+  // then applies ApplyBinary.
   Value EvalBinary(const mj::BinaryExpr& expr);
-  // Evaluates one operand of a non-short-circuit binary expression. Returns
-  // true with *out set when it produced an int; otherwise stores the full
-  // value in *boxed and returns false. The operand is FULLY evaluated either
-  // way (same side effects and errors as Eval), so EvalBinary can evaluate
-  // both operands before any type check runs — preserving the boxed path's
-  // error ordering exactly while skipping variant round-trips on the int path.
-  bool EvalIntOperand(const mj::Expr& expr, int64_t* out, Value* boxed);
-  // Core of EvalBinary: true with *out set for an all-int arithmetic result,
-  // false with *boxed set for everything else (bools, strings, mixed). Nested
-  // int subtrees chain through EvalIntOperand's kBinary case without ever
-  // materializing intermediate Values.
-  bool EvalBinaryFast(const mj::BinaryExpr& expr, int64_t* out, Value* boxed);
-  // Condition evaluation for if/while/for and `&&`/`||` operands: same result
-  // and errors as AsBool(Eval(expr), location) minus the Value round-trip for
-  // the dominant comparison-expression shape.
-  bool EvalBool(const mj::Expr& expr, mj::SourceLocation location);
   Value EvalNew(const mj::NewExpr& expr);
-  // The boxed tail of EvalBinaryFast for operands that already exist as
-  // Values: string `+`, mixed-type coercions (errors at `location`), and
-  // ValueEquals for ==/!=. The VM's superinstruction slow paths land here
-  // after evaluating operands natively; kAnd/kOr never reach it (the compiler
-  // lowers them to jump chains).
+  // The one binary-operator kernel of both engines, on operands already
+  // evaluated: int-int arithmetic and comparisons first, then string `+`,
+  // ValueEquals for ==/!=, and int coercions with their type errors at
+  // `location`. kAnd/kOr never reach it (the walker short-circuits them in
+  // EvalBinary, the VM compiles them to jump chains).
   Value ApplyBinary(mj::BinaryOp op, const Value& lhs, const Value& rhs,
                     mj::SourceLocation location);
+  // The one compound-assignment kernel of both engines: `old op= rhs` for op
+  // kAddAssign (string concatenation when either side is a string) or
+  // kSubAssign, with type errors at the statement's `location`.
+  Value CombineAssign(mj::AssignOp op, const Value& old_value, const Value& rhs,
+                      mj::SourceLocation location);
   // `args` is consumed (elements moved into the callee frame). By-reference so
   // EvalCall/EvalNew can pass pooled buffers instead of a fresh heap
   // allocation per call. Returns with raised_ set when an interceptor or the

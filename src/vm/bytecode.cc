@@ -2,12 +2,14 @@
 // function of the resolved Program only, so chunks are compiled once per
 // interpreter and shared across every run (they survive ResetForRun).
 //
-// The compiler mirrors the tree-walker statement by statement. Anything it
-// lowers natively preserves the walker's evaluation order, step-accounting
-// points, and error wording exactly; anything subtle (calls, news, switch,
-// try-with-finally, fallback-chain names, field targets) is delegated back to
-// the walker via the kCallTree/kNewTree/kEvalTree/kExecTree opcodes, which
-// keeps every injection pointcut and observer hook on the shared path.
+// The compiler mirrors the tree-walker statement by statement, with one
+// lowering per AST shape. Anything it lowers natively preserves the walker's
+// evaluation order, step-accounting points, and error wording exactly, and
+// computes through the walker's own kernels (ApplyBinary, CombineAssign);
+// anything subtle (calls, news, switch, try-with-finally, fallback-chain
+// names, field targets) is delegated back to the walker via the
+// kCallTree/kNewTree/kEvalTree/kExecTree opcodes, which keeps every injection
+// pointcut and observer hook on the shared path.
 
 #include "src/vm/bytecode.h"
 
@@ -32,74 +34,9 @@ int32_t SlotOf(const mj::Expr& expr) {
   return static_cast<const mj::NameExpr&>(expr).slot;
 }
 
-bool IsIntLiteral(const mj::Expr& expr) { return expr.kind == AstKind::kIntLiteral; }
-
-int64_t IntLiteralValue(const mj::Expr& expr) {
-  return static_cast<const mj::IntLiteralExpr&>(expr).value;
-}
-
 bool IsComparison(mj::BinaryOp op) {
   return op == mj::BinaryOp::kLt || op == mj::BinaryOp::kLe || op == mj::BinaryOp::kGt ||
          op == mj::BinaryOp::kGe;
-}
-
-// Flattens a pure integer-arithmetic expression (add/sub/mul/div/mod/neg over
-// simple-name slots and int literals) into a postfix IntProgram, left to
-// right — the walker's evaluation order. Returns false for any other shape
-// or when the program would need more scratch than kMaxIntScratch.
-bool FlattenIntExpr(const mj::Expr& expr, IntProgram& prog, uint32_t& depth) {
-  switch (expr.kind) {
-    case AstKind::kIntLiteral:
-      prog.code.push_back(IntInsn{IntOpKind::kPushConst, 0, IntLiteralValue(expr)});
-      if (++depth > prog.max_stack) {
-        prog.max_stack = depth;
-      }
-      return depth <= kMaxIntScratch;
-
-    case AstKind::kName:
-      if (!IsSimpleName(expr)) {
-        return false;
-      }
-      prog.code.push_back(IntInsn{IntOpKind::kPushSlot, SlotOf(expr), 0});
-      if (++depth > prog.max_stack) {
-        prog.max_stack = depth;
-      }
-      return depth <= kMaxIntScratch;
-
-    case AstKind::kUnary: {
-      const auto& unary = static_cast<const mj::UnaryExpr&>(expr);
-      if (unary.op == mj::UnaryOp::kNot) {
-        return false;
-      }
-      if (!FlattenIntExpr(*unary.operand, prog, depth)) {
-        return false;
-      }
-      prog.code.push_back(IntInsn{IntOpKind::kNeg, 0, 0});
-      return true;
-    }
-
-    case AstKind::kBinary: {
-      const auto& bin = static_cast<const mj::BinaryExpr&>(expr);
-      IntOpKind kind;
-      switch (bin.op) {
-        case mj::BinaryOp::kAdd: kind = IntOpKind::kAdd; break;
-        case mj::BinaryOp::kSub: kind = IntOpKind::kSub; break;
-        case mj::BinaryOp::kMul: kind = IntOpKind::kMul; break;
-        case mj::BinaryOp::kDiv: kind = IntOpKind::kDiv; break;
-        case mj::BinaryOp::kMod: kind = IntOpKind::kMod; break;
-        default: return false;
-      }
-      if (!FlattenIntExpr(*bin.lhs, prog, depth) || !FlattenIntExpr(*bin.rhs, prog, depth)) {
-        return false;
-      }
-      prog.code.push_back(IntInsn{kind, 0, 0});
-      --depth;
-      return true;
-    }
-
-    default:
-      return false;
-  }
 }
 
 class MethodCompiler {
@@ -121,7 +58,7 @@ class MethodCompiler {
 
  private:
   // Patch-operand selectors (which int32 of the instruction to fill).
-  enum : int { kOperandA = 0, kOperandB = 1, kOperandC = 2 };
+  enum : int { kOperandA = 0, kOperandB = 1 };
 
   struct LoopCtx {
     std::vector<std::pair<size_t, int>> break_patches;
@@ -131,15 +68,14 @@ class MethodCompiler {
 
   int32_t Here() const { return static_cast<int32_t>(chunk_.code.size()); }
 
-  size_t Emit(Op op, uint8_t flags = 0, int32_t a = 0, int32_t b = 0, int32_t c = 0,
-              int32_t d = 0) {
-    chunk_.code.push_back(Insn{op, flags, a, b, c, d});
+  size_t Emit(Op op, uint8_t flags = 0, int32_t a = 0, int32_t b = 0, int32_t d = 0) {
+    chunk_.code.push_back(Insn{op, flags, a, b, d});
     return chunk_.code.size() - 1;
   }
 
   void Patch(size_t insn, int operand, int32_t target) {
     Insn& code = chunk_.code[insn];
-    (operand == kOperandA ? code.a : operand == kOperandB ? code.b : code.c) = target;
+    (operand == kOperandA ? code.a : code.b) = target;
   }
 
   int32_t NodeIdx(const mj::AstNode& node) {
@@ -150,11 +86,6 @@ class MethodCompiler {
   int32_t ConstIdx(const Value& value) {
     chunk_.consts.push_back(value);
     return static_cast<int32_t>(chunk_.consts.size() - 1);
-  }
-
-  int32_t IntIdx(int64_t value) {
-    chunk_.ints.push_back(value);
-    return static_cast<int32_t>(chunk_.ints.size() - 1);
   }
 
   // Operand-stack accounting; only the high-water mark matters (reserve hint).
@@ -189,11 +120,11 @@ class MethodCompiler {
     if (!loops_.empty()) {
       LoopCtx& loop = loops_.back();
       insn = Emit(Op::kExecTree, static_cast<uint8_t>(handler_depth_ - loop.handler_depth), 0,
-                  0, 0, NodeIdx(stmt));
+                  0, NodeIdx(stmt));
       loop.break_patches.emplace_back(insn, kOperandA);
       loop.continue_patches.emplace_back(insn, kOperandB);
     } else {
-      insn = Emit(Op::kExecTree, static_cast<uint8_t>(handler_depth_), 0, 0, 0, NodeIdx(stmt));
+      insn = Emit(Op::kExecTree, static_cast<uint8_t>(handler_depth_), 0, 0, NodeIdx(stmt));
       end_patches_.emplace_back(insn, kOperandA);
       end_patches_.emplace_back(insn, kOperandB);
     }
@@ -230,21 +161,15 @@ class MethodCompiler {
       case AstKind::kIf: {
         const auto& node = static_cast<const mj::IfStmt&>(stmt);
         Emit(Op::kStep);
-        auto false_patches = CompileCondJumpFalse(*node.condition, stmt);
+        const size_t false_jump = CompileCondJumpFalse(*node.condition, stmt);
         CompileStmt(*node.then_branch);
         if (node.else_branch != nullptr) {
           size_t skip = Emit(Op::kJump);
-          const int32_t else_ip = Here();
-          for (auto [insn, operand] : false_patches) {
-            Patch(insn, operand, else_ip);
-          }
+          Patch(false_jump, kOperandA, Here());
           CompileStmt(*node.else_branch);
           Patch(skip, kOperandA, Here());
         } else {
-          const int32_t end = Here();
-          for (auto [insn, operand] : false_patches) {
-            Patch(insn, operand, end);
-          }
+          Patch(false_jump, kOperandA, Here());
         }
         return;
       }
@@ -254,11 +179,13 @@ class MethodCompiler {
         Emit(Op::kStep);
         const int32_t cond_ip = Here();
         loops_.push_back(LoopCtx{{}, {}, handler_depth_});
-        auto false_patches = CompileCondJumpFalse(*node.condition, stmt);
-        EmitLoopIter(false_patches);
+        // A false condition leaves the loop exactly like a break.
+        loops_.back().break_patches.emplace_back(CompileCondJumpFalse(*node.condition, stmt),
+                                                 kOperandA);
+        Emit(Op::kLoopIter);
         CompileStmt(*node.body);
         Emit(Op::kJump, 0, cond_ip);
-        FinishLoop(std::move(false_patches), cond_ip);
+        FinishLoop(cond_ip);
         return;
       }
 
@@ -274,26 +201,18 @@ class MethodCompiler {
         }
         const int32_t cond_ip = Here();
         loops_.push_back(LoopCtx{{}, {}, handler_depth_});
-        std::vector<std::pair<size_t, int>> false_patches;
         if (node.condition != nullptr) {
-          false_patches = CompileCondJumpFalse(*node.condition, stmt);
+          loops_.back().break_patches.emplace_back(CompileCondJumpFalse(*node.condition, stmt),
+                                                   kOperandA);
         }
-        EmitLoopIter(false_patches);
+        Emit(Op::kLoopIter);
         CompileStmt(*node.body);
         const int32_t update_ip = Here();
         if (node.update != nullptr) {
           CompileStmt(*node.update);
         }
-        // A single kIncSlotImm update (the canonical `i++` / `i += C`)
-        // absorbs the back-edge jump. Safe: nothing inside the body patches a
-        // jump past update_ip, so no control flow relied on the elided kJump.
-        if (Here() == update_ip + 1 && chunk_.code.back().op == Op::kIncSlotImm) {
-          chunk_.code.back().flags |= kFlagJumpAfter;
-          chunk_.code.back().c = cond_ip;
-        } else {
-          Emit(Op::kJump, 0, cond_ip);
-        }
-        FinishLoop(std::move(false_patches), update_ip);
+        Emit(Op::kJump, 0, cond_ip);
+        FinishLoop(update_ip);
         return;
       }
 
@@ -374,7 +293,7 @@ class MethodCompiler {
       case AstKind::kThrow:
         Emit(Op::kStep);
         CompileExpr(*static_cast<const mj::ThrowStmt&>(stmt).value);
-        Emit(Op::kThrow, 0, 0, 0, 0, NodeIdx(stmt));
+        Emit(Op::kThrow, 0, 0, 0, NodeIdx(stmt));
         Pop();
         return;
 
@@ -387,28 +306,10 @@ class MethodCompiler {
     }
   }
 
-  // Back-edge accounting after the loop condition passed. When the condition
-  // compiled to exactly one fused kBrCmp that is still the last instruction,
-  // the kLoopIter effects (Step + iteration count + LoopObserver) fold into
-  // its TRUE outcome; otherwise a standalone kLoopIter is emitted.
-  void EmitLoopIter(const std::vector<std::pair<size_t, int>>& false_patches) {
-    if (false_patches.size() == 1 && false_patches[0].first == chunk_.code.size() - 1) {
-      Insn& insn = chunk_.code[false_patches[0].first];
-      if (insn.op == Op::kBrCmpSS || insn.op == Op::kBrCmpSI) {
-        insn.flags |= kFlagLoopHead;
-        return;
-      }
-    }
-    Emit(Op::kLoopIter);
-  }
-
-  void FinishLoop(std::vector<std::pair<size_t, int>> false_patches, int32_t continue_ip) {
+  void FinishLoop(int32_t continue_ip) {
     LoopCtx loop = std::move(loops_.back());
     loops_.pop_back();
     const int32_t end = Here();
-    for (auto [insn, operand] : false_patches) {
-      Patch(insn, operand, end);
-    }
     for (auto [insn, operand] : loop.break_patches) {
       Patch(insn, operand, end);
     }
@@ -428,87 +329,29 @@ class MethodCompiler {
     }
     const int32_t slot = SlotOf(*stmt.target);
 
-    // Superinstruction: `x += C` / `x -= C` (also x++/x--).
-    if (stmt.op != mj::AssignOp::kAssign && IsIntLiteral(*stmt.value)) {
-      Emit(Op::kIncSlotImm, static_cast<uint8_t>(stmt.op), slot,
-           IntIdx(IntLiteralValue(*stmt.value)), 0, NodeIdx(stmt));
-      return;
-    }
-    // Superinstruction: `x = y + C` / `x = y - C` (loop-counter updates).
-    if (stmt.op == mj::AssignOp::kAssign && stmt.value->kind == AstKind::kBinary) {
-      const auto& bin = static_cast<const mj::BinaryExpr&>(*stmt.value);
-      if ((bin.op == mj::BinaryOp::kAdd || bin.op == mj::BinaryOp::kSub) &&
-          IsSimpleName(*bin.lhs) && IsIntLiteral(*bin.rhs)) {
-        Emit(Op::kAssignBinSlotImm, static_cast<uint8_t>(bin.op), slot, SlotOf(*bin.lhs),
-             IntIdx(IntLiteralValue(*bin.rhs)), NodeIdx(stmt));
-        return;
-      }
-    }
-
-    // Superinstruction: the whole rhs is a pure integer-arithmetic tree. One
-    // dispatch evaluates it on raw int64 scratch; any non-int operand at run
-    // time bails out and replays the statement through the walker. Gated on a
-    // compound rhs so plain copies (`x = y`, `x = 5`, `s += t`), which must
-    // handle every value type natively, keep the generic lowering below.
-    if (stmt.value->kind == AstKind::kBinary || stmt.value->kind == AstKind::kUnary) {
-      IntProgram prog;
-      uint32_t depth = 0;
-      if (FlattenIntExpr(*stmt.value, prog, depth)) {
-        chunk_.int_programs.push_back(std::move(prog));
-        Emit(Op::kAssignIntExpr, static_cast<uint8_t>(stmt.op), slot,
-             static_cast<int32_t>(chunk_.int_programs.size() - 1), 0, NodeIdx(stmt));
-        return;
-      }
-    }
-
-    // General shape: Step + assert the target is live BEFORE the rhs runs
-    // (same order as the walker), then evaluate and store/combine.
-    Emit(Op::kStepAssertSlot, 0, slot, 0, 0, NodeIdx(stmt));
+    // Step + assert the target is live BEFORE the rhs runs (same order as the
+    // walker), then evaluate and store/combine.
+    Emit(Op::kStepAssertSlot, 0, slot, 0, NodeIdx(stmt));
     CompileExpr(*stmt.value);
     if (stmt.op == mj::AssignOp::kAssign) {
       Emit(Op::kStoreSlot, 0, slot);
     } else {
-      Emit(Op::kStoreCombine, static_cast<uint8_t>(stmt.op), slot, 0, 0, NodeIdx(stmt));
+      Emit(Op::kStoreCombine, static_cast<uint8_t>(stmt.op), slot, 0, NodeIdx(stmt));
     }
     Pop();
   }
 
   // --- Conditions -----------------------------------------------------------
 
-  // Emits code that falls through when `cond` is true and jumps (via the
-  // returned patch sites) when false. Mirrors EvalBool(cond, stmt.location):
-  // comparisons error at their own location, everything else coerces at the
-  // statement's location.
-  std::vector<std::pair<size_t, int>> CompileCondJumpFalse(const mj::Expr& cond,
-                                                           const mj::Stmt& stmt) {
-    std::vector<std::pair<size_t, int>> patches;
-    if (cond.kind == AstKind::kBinary) {
-      const auto& bin = static_cast<const mj::BinaryExpr&>(cond);
-      if (IsComparison(bin.op)) {
-        // Fused compare-and-branch when the operands are raw slots/ints.
-        if (IsSimpleName(*bin.lhs) && IsSimpleName(*bin.rhs)) {
-          patches.emplace_back(Emit(Op::kBrCmpSS, static_cast<uint8_t>(bin.op),
-                                    SlotOf(*bin.lhs), SlotOf(*bin.rhs), 0, NodeIdx(bin)),
-                               kOperandC);
-          return patches;
-        }
-        if (IsSimpleName(*bin.lhs) && IsIntLiteral(*bin.rhs)) {
-          patches.emplace_back(Emit(Op::kBrCmpSI, static_cast<uint8_t>(bin.op),
-                                    SlotOf(*bin.lhs), IntIdx(IntLiteralValue(*bin.rhs)), 0,
-                                    NodeIdx(bin)),
-                               kOperandC);
-          return patches;
-        }
-        CompileExpr(cond);  // Comparison opcodes produce a raw bool.
-        patches.emplace_back(Emit(Op::kJumpIfFalse), kOperandA);
-        Pop();
-        return patches;
-      }
-    }
+  // Emits code that falls through when `cond` is true and returns the
+  // kJumpIfFalse to patch with the false target. Mirrors the walker's
+  // AsBool(Eval(cond), stmt.location): comparisons error at their own
+  // location, everything else coerces at the statement's location.
+  size_t CompileCondJumpFalse(const mj::Expr& cond, const mj::Stmt& stmt) {
     CompileBoolValue(cond, stmt);
-    patches.emplace_back(Emit(Op::kJumpIfFalse), kOperandA);
+    const size_t jump = Emit(Op::kJumpIfFalse);
     Pop();
-    return patches;
+    return jump;
   }
 
   // Leaves a guaranteed bool on the stack; non-bool results raise the
@@ -519,7 +362,7 @@ class MethodCompiler {
         IsComparison(static_cast<const mj::BinaryExpr&>(expr).op)) {
       return;  // Comparisons already produce a raw bool.
     }
-    Emit(Op::kAsBool, 0, 0, 0, 0, NodeIdx(location_node));
+    Emit(Op::kAsBool, 0, 0, 0, NodeIdx(location_node));
   }
 
   // --- Expressions ----------------------------------------------------------
@@ -547,11 +390,11 @@ class MethodCompiler {
 
       case AstKind::kName:
         if (IsSimpleName(expr)) {
-          Emit(Op::kLoadSlot, 0, SlotOf(expr), 0, 0, NodeIdx(expr));
+          Emit(Op::kLoadSlot, 0, SlotOf(expr), 0, NodeIdx(expr));
           Push();
         } else {
           // Fallback-chain lookup stays on the walker's LookupName.
-          Emit(Op::kEvalTree, 0, 0, 0, 0, NodeIdx(expr));
+          Emit(Op::kEvalTree, 0, 0, 0, NodeIdx(expr));
           Push();
         }
         return;
@@ -559,8 +402,7 @@ class MethodCompiler {
       case AstKind::kUnary: {
         const auto& unary = static_cast<const mj::UnaryExpr&>(expr);
         CompileExpr(*unary.operand);
-        Emit(unary.op == mj::UnaryOp::kNot ? Op::kNotBool : Op::kNegInt, 0, 0, 0, 0,
-             NodeIdx(expr));
+        Emit(unary.op == mj::UnaryOp::kNot ? Op::kNotBool : Op::kNegInt, 0, 0, 0, NodeIdx(expr));
         return;
       }
 
@@ -569,11 +411,11 @@ class MethodCompiler {
         return;
 
       case AstKind::kCall:
-        Emit(Op::kCallTree, 0, 0, 0, 0, NodeIdx(expr));
+        Emit(Op::kCallTree, 0, 0, 0, NodeIdx(expr));
         Push();
         return;
       case AstKind::kNew:
-        Emit(Op::kNewTree, 0, 0, 0, 0, NodeIdx(expr));
+        Emit(Op::kNewTree, 0, 0, 0, NodeIdx(expr));
         Push();
         return;
 
@@ -582,7 +424,7 @@ class MethodCompiler {
       case AstKind::kThis:
       case AstKind::kInstanceOf:
       default:
-        Emit(Op::kEvalTree, 0, 0, 0, 0, NodeIdx(expr));
+        Emit(Op::kEvalTree, 0, 0, 0, NodeIdx(expr));
         Push();
         return;
     }
@@ -590,7 +432,7 @@ class MethodCompiler {
 
   void CompileBinary(const mj::BinaryExpr& bin) {
     // Short-circuit operators become jump chains producing a raw bool; the
-    // operand coercions error at the binary's own location (EvalBinaryFast).
+    // operand coercions error at the binary's own location (EvalBinary).
     if (bin.op == mj::BinaryOp::kAnd || bin.op == mj::BinaryOp::kOr) {
       CompileBoolValue(*bin.lhs, bin);
       size_t split = Emit(bin.op == mj::BinaryOp::kAnd ? Op::kJumpIfFalse : Op::kJumpIfTrue);
@@ -605,36 +447,9 @@ class MethodCompiler {
       return;
     }
 
-    // Superinstructions for slot/immediate operand shapes. Their slow paths
-    // re-evaluate the original node through the walker (names and literals
-    // are side-effect free), reproducing error order and wording exactly.
-    if (IsSimpleName(*bin.lhs)) {
-      if (IsIntLiteral(*bin.rhs)) {
-        Emit(Op::kBinarySI, static_cast<uint8_t>(bin.op), SlotOf(*bin.lhs),
-             IntIdx(IntLiteralValue(*bin.rhs)), 0, NodeIdx(bin));
-        Push();
-        return;
-      }
-      if (IsSimpleName(*bin.rhs)) {
-        Emit(Op::kBinarySS, static_cast<uint8_t>(bin.op), SlotOf(*bin.lhs), SlotOf(*bin.rhs),
-             0, NodeIdx(bin));
-        Push();
-        return;
-      }
-    }
     CompileExpr(*bin.lhs);
-    if (IsIntLiteral(*bin.rhs)) {
-      Emit(Op::kBinaryTI, static_cast<uint8_t>(bin.op), 0, IntIdx(IntLiteralValue(*bin.rhs)),
-           0, NodeIdx(bin));
-      return;
-    }
-    if (IsSimpleName(*bin.rhs)) {
-      Emit(Op::kBinaryTS, static_cast<uint8_t>(bin.op), SlotOf(*bin.rhs), 0,
-           NodeIdx(*bin.rhs), NodeIdx(bin));
-      return;
-    }
     CompileExpr(*bin.rhs);
-    Emit(Op::kBinary, static_cast<uint8_t>(bin.op), 0, 0, 0, NodeIdx(bin));
+    Emit(Op::kBinary, static_cast<uint8_t>(bin.op), 0, 0, NodeIdx(bin));
     Pop();
   }
 

@@ -8,14 +8,11 @@
 //
 // Design rule: the VM must be byte-identical to the tree-walker — same error
 // wording, same evaluation order, same step counts, same abort points. The
-// instruction set therefore splits into three tiers:
-//   1. native opcodes for the hot statement/expression shapes, whose error
-//      paths either replicate the tree-walker's code exactly or re-evaluate
-//      the original (side-effect-free) AST node through the tree-walker;
-//   2. superinstructions fusing the dominant arithmetic/compare/branch/
-//      compound-assign chains (PR 4's profile), which fall back to the
-//      de-fused semantics whenever an operand is not a defined int slot;
-//   3. delegation opcodes (kCallTree/kNewTree/kEvalTree/kExecTree) that hand
+// instruction set therefore splits into two tiers:
+//   1. native opcodes for the statement/expression shapes retry loops are
+//      made of, which call the walker's own kernels (ApplyBinary,
+//      CombineAssign, ThrowTypeError) for their results and errors;
+//   2. delegation opcodes (kCallTree/kNewTree/kEvalTree/kExecTree) that hand
 //      a subtree to the tree-walker — calls, news, switch, try-with-finally,
 //      field-target assignments. Every observation point (CallInterceptor
 //      pointcuts, injector fire/skip sites, the per-site monomorphic dispatch
@@ -41,10 +38,10 @@
 
 namespace wasabi::vm {
 
-// Operand conventions: `a`..`d` are int32 payloads, `flags` carries a small
-// enum (BinaryOp / AssignOp / handler-pop counts). `d` is almost always an
-// index into Chunk::nodes — the original AST node, used for source locations
-// in error messages and for slow-path re-evaluation through the tree-walker.
+// Operand conventions: `a`, `b` and `d` are int32 payloads, `flags` carries a
+// small enum (BinaryOp / AssignOp / handler-pop counts). `d` is almost always
+// an index into Chunk::nodes — the original AST node, used for source
+// locations in error messages and for the subtrees the tree-walker runs.
 enum class Op : uint8_t {
   // --- Values ---------------------------------------------------------------
   kConst,          // push consts[a]
@@ -64,39 +61,16 @@ enum class Op : uint8_t {
   // --- Coercions (tree-walker error wording at nodes[d]->location) ----------
   kAsBool,         // top must be bool, else "expected bool, got ..."
   kNotBool,        // top = !AsBool(top)
-  kNegInt,         // top = -AsInt(top)
+  kNegInt,         // top = WrapNeg(AsInt(top))
   // --- Binary operators -----------------------------------------------------
-  kBinary,         // flags=BinaryOp, d=BinaryExpr: pop rhs, lhs; push result
-  // --- Superinstructions (tier 2) -------------------------------------------
-  kBinarySS,       // flags=op, a=lhs slot, b=rhs slot, d=BinaryExpr
-  kBinarySI,       // flags=op, a=lhs slot, b=ints[] index, d=BinaryExpr
-  kBinaryTS,       // flags=op, a=rhs slot, c=rhs NameExpr node, d=BinaryExpr
-  kBinaryTI,       // flags=op, b=ints[] index, d=BinaryExpr
-  kBrCmpSS,        // flags=cmp op (|kFlagLoopHead), a=lhs slot, b=rhs slot,
-                   //   c=target, d=node: jump to c when the comparison is
-                   //   FALSE; with kFlagLoopHead a TRUE outcome also performs
-                   //   the back-edge accounting a separate kLoopIter would
-  kBrCmpSI,        // flags=cmp op (|kFlagLoopHead), a=lhs slot,
-                   //   b=ints[] index, c=target, d=node
-  kIncSlotImm,     // compound `x += imm` / `x -= imm`: flags=AssignOp
-                   //   (|kFlagJumpAfter: jump to c afterwards — for-loop tail
-                   //   fusion), a=slot, b=ints[] index, d=AssignStmt
-                   //   (includes Step)
-  kAssignBinSlotImm,  // `x = y + imm` / `x = y - imm`: flags=BinaryOp,
-                   //   a=target slot, b=source slot, c=ints[] index,
-                   //   d=AssignStmt (includes Step)
-  kAssignIntExpr,  // whole `x = <pure int expr>` / `x ±= <pure int expr>` in
-                   //   one dispatch: flags=AssignOp, a=target slot,
-                   //   b=int_programs[] index, d=AssignStmt. The scratch
-                   //   program is evaluated side-effect free FIRST; any
-                   //   undefined/non-int operand or div-by-zero bails out to
-                   //   an ExecStmt replay before the statement's Step
-
+  kBinary,         // flags=BinaryOp, d=BinaryExpr: pop rhs, lhs; push
+                   //   Interpreter::ApplyBinary(lhs, rhs)
   // --- Assignment helpers ---------------------------------------------------
   kStepAssertSlot, // Step() + assert slot a defined, else "assignment to
                    //   undefined variable" (d=AssignStmt)
   kStoreCombine,   // compound assign tail: flags=AssignOp, a=slot,
-                   //   d=AssignStmt: slots[a] = combine(slots[a], pop)
+                   //   d=AssignStmt: slots[a] = Interpreter::CombineAssign(
+                   //   slots[a], pop)
   // --- Exception handling ---------------------------------------------------
   kPushHandler,    // a=dispatch target: arm a catch handler at current depth
   kPopHandlers,    // a=count: disarm the innermost `count` handlers
@@ -104,7 +78,7 @@ enum class Op : uint8_t {
   kRethrow,        // re-raise the pending exception (no clause matched)
   kThrow,          // d=ThrowStmt: raise pop; a non-object raises the walker's
                    //   "throw of non-object value" IllegalStateException
-  // --- Delegation to the tree-walker (tier 3) -------------------------------
+  // --- Delegation to the tree-walker (tier 2) -------------------------------
   kCallTree,       // d=CallExpr: push Interpreter::EvalCall (pointcuts, IC),
                    //   or take the raise it returned with
   kNewTree,        // d=NewExpr: push Interpreter::EvalNew, or take its raise
@@ -114,55 +88,13 @@ enum class Op : uint8_t {
                    //   run Interpreter::ExecStmt and map the returned Flow
 };
 
-// High bit of `flags`, shared by the fused-loop opcodes (BinaryOp/AssignOp
-// values stay far below it): on kBrCmpSS/kBrCmpSI the comparison guards a
-// loop head; on kIncSlotImm the update jumps to operand `c` afterwards.
-inline constexpr uint8_t kFlagLoopHead = 0x80;
-inline constexpr uint8_t kFlagJumpAfter = 0x80;
-inline constexpr uint8_t kFlagOpMask = 0x7F;
-
 struct Insn {
   Op op = Op::kReturnNull;
   uint8_t flags = 0;
   int32_t a = 0;
   int32_t b = 0;
-  int32_t c = 0;
   int32_t d = 0;
 };
-
-// --- Scratch programs for kAssignIntExpr ------------------------------------
-// A pure integer expression flattened to a tiny stack program over int64
-// scratch (no Value variants, no heap). Leaves read frame slots or push
-// immediates; interior ops are the five arithmetic operators plus negation.
-// Evaluation is side-effect free, so the executor can run it BEFORE the
-// statement's Step() and bail to a tree-walker replay on any slot that is
-// undefined or non-int and on any division/modulo by zero — reproducing the
-// walker's evaluation order, error wording, and step accounting exactly.
-enum class IntOpKind : uint8_t {
-  kPushSlot,   // slot
-  kPushConst,  // imm
-  kAdd,
-  kSub,
-  kMul,
-  kDiv,  // Bails on rhs == 0.
-  kMod,  // Bails on rhs == 0.
-  kNeg,
-};
-
-struct IntInsn {
-  IntOpKind kind = IntOpKind::kPushConst;
-  int32_t slot = 0;
-  int64_t imm = 0;
-};
-
-struct IntProgram {
-  std::vector<IntInsn> code;
-  uint32_t max_stack = 0;
-};
-
-// Executor scratch bound; the compiler refuses deeper programs (they take the
-// generic expression lowering instead).
-inline constexpr uint32_t kMaxIntScratch = 32;
 
 // One kCatch site: the data the tree-walker's catch-clause path consumes.
 struct CatchSite {
@@ -177,9 +109,7 @@ struct CatchSite {
 struct Chunk {
   std::vector<Insn> code;
   std::vector<Value> consts;
-  std::vector<int64_t> ints;                 // Immediates for superinstructions.
-  std::vector<const mj::AstNode*> nodes;     // Error locations + slow paths.
-  std::vector<IntProgram> int_programs;      // kAssignIntExpr scratch programs.
+  std::vector<const mj::AstNode*> nodes;  // Error locations + delegated subtrees.
   std::vector<CatchSite> catches;
   uint32_t max_stack = 0;
   bool compiled = false;  // False => the tree-walker runs this method.

@@ -11,9 +11,10 @@
 //     strategies execute identically).
 //
 // Byte-identity with the tree-walker is the invariant every opcode body keeps:
-// same Step() accounting, same evaluation order, same error wording (slow
-// paths either call the same Interpreter helpers or re-evaluate the original
-// AST node through the tree-walker).
+// same Step() accounting, same evaluation order, same error wording. Native
+// opcodes call the walker's own kernels (ApplyBinary, CombineAssign,
+// ThrowTypeError); the walker itself runs only behind the four delegation
+// opcodes kCallTree/kNewTree/kEvalTree/kExecTree.
 //
 // An mj exception reaches a chunk in the interpreter's raised-exception slot
 // (after kCallTree/kNewTree, at kRethrow and kThrow) or, from a ThrowMj error
@@ -44,35 +45,6 @@ const char* DispatchKindName() {
 #else
   return "switch";
 #endif
-}
-
-Value VmExecutor::IntArith(Interpreter& in, mj::BinaryOp op, int64_t lhs, int64_t rhs) {
-  using mj::BinaryOp;
-  switch (op) {
-    case BinaryOp::kAdd:
-      return Value{lhs + rhs};
-    case BinaryOp::kSub:
-      return Value{lhs - rhs};
-    case BinaryOp::kMul:
-      return Value{lhs * rhs};
-    case BinaryOp::kDiv:
-    case BinaryOp::kMod:
-      return Value{in.DivideInt(op, lhs, rhs)};
-    case BinaryOp::kEq:
-      return Value{lhs == rhs};
-    case BinaryOp::kNe:
-      return Value{lhs != rhs};
-    case BinaryOp::kLt:
-      return Value{lhs < rhs};
-    case BinaryOp::kLe:
-      return Value{lhs <= rhs};
-    case BinaryOp::kGt:
-      return Value{lhs > rhs};
-    case BinaryOp::kGe:
-      return Value{lhs >= rhs};
-    default:
-      in.ThrowMj("IllegalStateException", "unsupported binary operator");
-  }
 }
 
 Value VmExecutor::Run(Interpreter& in, const Chunk& chunk) {
@@ -133,8 +105,6 @@ Value VmExecutor::Execute(Interpreter& in, const Chunk& chunk, std::vector<Value
   // The frame is stable for the whole invocation: nested calls push and pop
   // DEEPER frames, and the frame deque never moves existing elements.
   Interpreter::Frame& frame = in.CurrentFrame();
-  // Raw scratch for kAssignIntExpr programs (compiler-bounded depth).
-  int64_t int_scratch[kMaxIntScratch];
 
 #if WASABI_VM_COMPUTED_GOTO
   // Label table — MUST stay in exact Op enum order.
@@ -155,15 +125,6 @@ Value VmExecutor::Execute(Interpreter& in, const Chunk& chunk, std::vector<Value
       &&case_kNotBool,
       &&case_kNegInt,
       &&case_kBinary,
-      &&case_kBinarySS,
-      &&case_kBinarySI,
-      &&case_kBinaryTS,
-      &&case_kBinaryTI,
-      &&case_kBrCmpSS,
-      &&case_kBrCmpSI,
-      &&case_kIncSlotImm,
-      &&case_kAssignBinSlotImm,
-      &&case_kAssignIntExpr,
       &&case_kStepAssertSlot,
       &&case_kStoreCombine,
       &&case_kPushHandler,
@@ -264,7 +225,7 @@ dispatch:
     VM_CASE(kJump) : { VM_JUMP(code[ip].a); }
 
     VM_CASE(kJumpIfFalse) : {
-      // Producers guarantee a bool on top (kAsBool / comparison opcodes).
+      // Producers guarantee a bool on top (kAsBool, or a comparison's kBinary).
       const bool* value = std::get_if<bool>(&stack.back());
       assert(value != nullptr);
       const bool taken = !*value;
@@ -313,7 +274,7 @@ dispatch:
     VM_CASE(kNegInt) : {
       Value& top = stack.back();
       if (const int64_t* value = std::get_if<int64_t>(&top)) [[likely]] {
-        top = Value{-*value};
+        top = Value{WrapNeg(*value)};
         VM_NEXT();
       }
       in.ThrowTypeError("int", top, chunk.nodes[code[ip].d]->location);
@@ -321,304 +282,10 @@ dispatch:
 
     VM_CASE(kBinary) : {
       const Insn& insn = code[ip];
-      const auto op = static_cast<mj::BinaryOp>(insn.flags);
-      const Value& rhs = stack.back();
       Value& lhs = stack[stack.size() - 2];
-      const int64_t* li = std::get_if<int64_t>(&lhs);
-      const int64_t* ri = std::get_if<int64_t>(&rhs);
-      if (li != nullptr && ri != nullptr) [[likely]] {
-        lhs = IntArith(in, op, *li, *ri);
-      } else {
-        lhs = in.ApplyBinary(op, lhs, rhs, chunk.nodes[insn.d]->location);
-      }
+      lhs = in.ApplyBinary(static_cast<mj::BinaryOp>(insn.flags), lhs, stack.back(),
+                           chunk.nodes[insn.d]->location);
       stack.pop_back();
-      VM_NEXT();
-    }
-
-    VM_CASE(kBinarySS) : {
-      const Insn& insn = code[ip];
-      if (frame.defined[insn.a] && frame.defined[insn.b]) [[likely]] {
-        const int64_t* lhs = std::get_if<int64_t>(&frame.slots[insn.a]);
-        const int64_t* rhs = std::get_if<int64_t>(&frame.slots[insn.b]);
-        if (lhs != nullptr && rhs != nullptr) [[likely]] {
-          stack.push_back(IntArith(in, static_cast<mj::BinaryOp>(insn.flags), *lhs, *rhs));
-          VM_NEXT();
-        }
-      }
-      // Operands are names — side-effect free — so the original node replays
-      // through the tree-walker for exact boxed/undefined semantics.
-      stack.push_back(in.Eval(static_cast<const mj::Expr&>(*chunk.nodes[insn.d])));
-      VM_NEXT();
-    }
-
-    VM_CASE(kBinarySI) : {
-      const Insn& insn = code[ip];
-      if (frame.defined[insn.a]) [[likely]] {
-        const int64_t* lhs = std::get_if<int64_t>(&frame.slots[insn.a]);
-        if (lhs != nullptr) [[likely]] {
-          stack.push_back(
-              IntArith(in, static_cast<mj::BinaryOp>(insn.flags), *lhs, chunk.ints[insn.b]));
-          VM_NEXT();
-        }
-      }
-      stack.push_back(in.Eval(static_cast<const mj::Expr&>(*chunk.nodes[insn.d])));
-      VM_NEXT();
-    }
-
-    VM_CASE(kBinaryTS) : {
-      const Insn& insn = code[ip];
-      Value& lhs = stack.back();
-      if (frame.defined[insn.a]) [[likely]] {
-        const Value& rhs = frame.slots[insn.a];
-        const int64_t* li = std::get_if<int64_t>(&lhs);
-        const int64_t* ri = std::get_if<int64_t>(&rhs);
-        if (li != nullptr && ri != nullptr) [[likely]] {
-          lhs = IntArith(in, static_cast<mj::BinaryOp>(insn.flags), *li, *ri);
-        } else {
-          lhs = in.ApplyBinary(static_cast<mj::BinaryOp>(insn.flags), lhs, rhs,
-                               chunk.nodes[insn.d]->location);
-        }
-        VM_NEXT();
-      }
-      // The lhs already evaluated (possibly with side effects); only the rhs
-      // name read is replayed — which here can only mean "undefined variable".
-      const auto& name = static_cast<const mj::NameExpr&>(*chunk.nodes[insn.c]);
-      in.ThrowMj("IllegalStateException", "undefined variable '" + name.name + "' at line " +
-                                              std::to_string(name.location.line));
-    }
-
-    VM_CASE(kBinaryTI) : {
-      const Insn& insn = code[ip];
-      Value& lhs = stack.back();
-      if (const int64_t* li = std::get_if<int64_t>(&lhs)) [[likely]] {
-        lhs = IntArith(in, static_cast<mj::BinaryOp>(insn.flags), *li, chunk.ints[insn.b]);
-      } else {
-        lhs = in.ApplyBinary(static_cast<mj::BinaryOp>(insn.flags), lhs,
-                             Value{chunk.ints[insn.b]}, chunk.nodes[insn.d]->location);
-      }
-      VM_NEXT();
-    }
-
-    VM_CASE(kBrCmpSS) : {
-      const Insn& insn = code[ip];
-      if (frame.defined[insn.a] && frame.defined[insn.b]) [[likely]] {
-        const int64_t* lhs = std::get_if<int64_t>(&frame.slots[insn.a]);
-        const int64_t* rhs = std::get_if<int64_t>(&frame.slots[insn.b]);
-        if (lhs != nullptr && rhs != nullptr) [[likely]] {
-          bool taken;
-          switch (static_cast<mj::BinaryOp>(insn.flags & kFlagOpMask)) {
-            case mj::BinaryOp::kLt:
-              taken = *lhs < *rhs;
-              break;
-            case mj::BinaryOp::kLe:
-              taken = *lhs <= *rhs;
-              break;
-            case mj::BinaryOp::kGt:
-              taken = *lhs > *rhs;
-              break;
-            default:
-              taken = *lhs >= *rhs;
-              break;
-          }
-          if (!taken) {
-            VM_JUMP(insn.c);
-          }
-          // Fused loop head: a passing condition performs the back edge.
-          if (insn.flags & kFlagLoopHead) {
-            in.Step();
-            ++in.loop_iterations_;
-            if (in.loop_observer_ != nullptr) {
-              in.NotifyLoopIteration();
-            }
-          }
-          VM_NEXT();
-        }
-      }
-      // Pure operands: replay the comparison through the tree-walker's
-      // condition path (coercion errors at the comparison's own location).
-      const auto& bin = static_cast<const mj::BinaryExpr&>(*chunk.nodes[insn.d]);
-      if (!in.EvalBool(bin, bin.location)) {
-        VM_JUMP(insn.c);
-      }
-      if (insn.flags & kFlagLoopHead) {
-        in.Step();
-        ++in.loop_iterations_;
-        if (in.loop_observer_ != nullptr) {
-          in.NotifyLoopIteration();
-        }
-      }
-      VM_NEXT();
-    }
-
-    VM_CASE(kBrCmpSI) : {
-      const Insn& insn = code[ip];
-      if (frame.defined[insn.a]) [[likely]] {
-        const int64_t* lhs = std::get_if<int64_t>(&frame.slots[insn.a]);
-        if (lhs != nullptr) [[likely]] {
-          const int64_t rhs = chunk.ints[insn.b];
-          bool taken;
-          switch (static_cast<mj::BinaryOp>(insn.flags & kFlagOpMask)) {
-            case mj::BinaryOp::kLt:
-              taken = *lhs < rhs;
-              break;
-            case mj::BinaryOp::kLe:
-              taken = *lhs <= rhs;
-              break;
-            case mj::BinaryOp::kGt:
-              taken = *lhs > rhs;
-              break;
-            default:
-              taken = *lhs >= rhs;
-              break;
-          }
-          if (!taken) {
-            VM_JUMP(insn.c);
-          }
-          if (insn.flags & kFlagLoopHead) {
-            in.Step();
-            ++in.loop_iterations_;
-            if (in.loop_observer_ != nullptr) {
-              in.NotifyLoopIteration();
-            }
-          }
-          VM_NEXT();
-        }
-      }
-      const auto& bin = static_cast<const mj::BinaryExpr&>(*chunk.nodes[insn.d]);
-      if (!in.EvalBool(bin, bin.location)) {
-        VM_JUMP(insn.c);
-      }
-      if (insn.flags & kFlagLoopHead) {
-        in.Step();
-        ++in.loop_iterations_;
-        if (in.loop_observer_ != nullptr) {
-          in.NotifyLoopIteration();
-        }
-      }
-      VM_NEXT();
-    }
-
-    VM_CASE(kIncSlotImm) : {
-      const Insn& insn = code[ip];
-      // Eligibility is checked BEFORE Step() — no side effects — so the slow
-      // path's ExecStmt replay performs the one and only Step at the same
-      // point the tree-walker does.
-      if (frame.defined[insn.a]) [[likely]] {
-        if (int64_t* slot = std::get_if<int64_t>(&frame.slots[insn.a])) [[likely]] {
-          in.Step();
-          const int64_t imm = chunk.ints[insn.b];
-          *slot = static_cast<mj::AssignOp>(insn.flags & kFlagOpMask) == mj::AssignOp::kAddAssign
-                      ? *slot + imm
-                      : *slot - imm;
-          // Fused for-loop tail: the update jumps straight to the condition.
-          if (insn.flags & kFlagJumpAfter) {
-            VM_JUMP(insn.c);
-          }
-          VM_NEXT();
-        }
-      }
-      in.ExecStmt(static_cast<const mj::Stmt&>(*chunk.nodes[insn.d]));
-      if (insn.flags & kFlagJumpAfter) {
-        VM_JUMP(insn.c);
-      }
-      VM_NEXT();
-    }
-
-    VM_CASE(kAssignBinSlotImm) : {
-      const Insn& insn = code[ip];
-      // `target = source +/- imm`. Same pre-Step eligibility rule as above;
-      // the undefined-target error order (before the rhs) is preserved
-      // because the defined checks have no side effects.
-      if (frame.defined[insn.a] && frame.defined[insn.b]) [[likely]] {
-        if (const int64_t* source = std::get_if<int64_t>(&frame.slots[insn.b])) [[likely]] {
-          in.Step();
-          const int64_t imm = chunk.ints[insn.c];
-          const int64_t result = static_cast<mj::BinaryOp>(insn.flags) == mj::BinaryOp::kAdd
-                                     ? *source + imm
-                                     : *source - imm;
-          if (int64_t* target = std::get_if<int64_t>(&frame.slots[insn.a])) {
-            *target = result;
-          } else {
-            frame.slots[insn.a] = Value{result};
-          }
-          VM_NEXT();
-        }
-      }
-      in.ExecStmt(static_cast<const mj::Stmt&>(*chunk.nodes[insn.d]));
-      VM_NEXT();
-    }
-
-    VM_CASE(kAssignIntExpr) : {
-      const Insn& insn = code[ip];
-      // The whole rhs evaluates on raw int64 scratch. Every part of it is
-      // pure (slot reads, arithmetic), so it runs BEFORE the statement's
-      // Step(); any undefined/non-int operand, division or modulo by zero, or
-      // (for compound assigns) non-int target bails to an ExecStmt replay,
-      // which performs the one and only Step and raises the tree-walker's
-      // exact error in the tree-walker's exact order.
-      const auto op = static_cast<mj::AssignOp>(insn.flags);
-      int64_t* target = std::get_if<int64_t>(&frame.slots[insn.a]);
-      bool ok = frame.defined[insn.a] && (op == mj::AssignOp::kAssign || target != nullptr);
-      if (ok) [[likely]] {
-        const IntProgram& prog = chunk.int_programs[insn.b];
-        int64_t* sp = int_scratch;
-        for (const IntInsn& iop : prog.code) {
-          switch (iop.kind) {
-            case IntOpKind::kPushSlot: {
-              const int64_t* value = frame.defined[iop.slot]
-                                         ? std::get_if<int64_t>(&frame.slots[iop.slot])
-                                         : nullptr;
-              if (value == nullptr) {
-                ok = false;
-              } else {
-                *sp++ = *value;
-              }
-              break;
-            }
-            case IntOpKind::kPushConst:
-              *sp++ = iop.imm;
-              break;
-            case IntOpKind::kAdd:
-              --sp;
-              sp[-1] += *sp;
-              break;
-            case IntOpKind::kSub:
-              --sp;
-              sp[-1] -= *sp;
-              break;
-            case IntOpKind::kMul:
-              --sp;
-              sp[-1] *= *sp;
-              break;
-            case IntOpKind::kDiv:
-            case IntOpKind::kMod:
-              --sp;
-              ok = IntDivide(sp[-1], *sp, iop.kind == IntOpKind::kMod, &sp[-1]);
-              break;
-            case IntOpKind::kNeg:
-              sp[-1] = -sp[-1];
-              break;
-          }
-          if (!ok) {
-            break;
-          }
-        }
-        if (ok) [[likely]] {
-          in.Step();
-          const int64_t rhs = int_scratch[0];
-          if (op == mj::AssignOp::kAssign) {
-            if (target != nullptr) {
-              *target = rhs;
-            } else {
-              frame.slots[insn.a] = Value{rhs};
-            }
-          } else {
-            *target = op == mj::AssignOp::kAddAssign ? *target + rhs : *target - rhs;
-          }
-          VM_NEXT();
-        }
-      }
-      in.ExecStmt(static_cast<const mj::Stmt&>(*chunk.nodes[insn.d]));
       VM_NEXT();
     }
 
@@ -637,25 +304,9 @@ dispatch:
 
     VM_CASE(kStoreCombine) : {
       const Insn& insn = code[ip];
-      const Value& rhs = stack.back();
       Value& slot = frame.slots[insn.a];
-      const auto op = static_cast<mj::AssignOp>(insn.flags);
-      int64_t* slot_i = std::get_if<int64_t>(&slot);
-      const int64_t* rhs_i = std::get_if<int64_t>(&rhs);
-      if (slot_i != nullptr && rhs_i != nullptr) [[likely]] {
-        *slot_i = op == mj::AssignOp::kAddAssign ? *slot_i + *rhs_i : *slot_i - *rhs_i;
-        stack.pop_back();
-        VM_NEXT();
-      }
-      // The tree-walker's `combine`, errors at the statement's location.
-      const mj::SourceLocation location = chunk.nodes[insn.d]->location;
-      if (op == mj::AssignOp::kAddAssign && (IsString(slot) || IsString(rhs))) {
-        slot = Value{ValueToString(slot) + ValueToString(rhs)};
-      } else {
-        const int64_t old_i = in.AsInt(slot, location);
-        const int64_t new_i = in.AsInt(rhs, location);
-        slot = Value{op == mj::AssignOp::kAddAssign ? old_i + new_i : old_i - new_i};
-      }
+      slot = in.CombineAssign(static_cast<mj::AssignOp>(insn.flags), slot, stack.back(),
+                              chunk.nodes[insn.d]->location);
       stack.pop_back();
       VM_NEXT();
     }

@@ -50,10 +50,6 @@ class VmExecutor {
   // leaving the slot set, when no handler is armed.
   static bool Unwind(Interpreter& interp, std::vector<Value>& stack,
                      std::vector<Handler>& handlers, ObjectRef& pending, int32_t& ip);
-
-  // Int-int binary kernel: the tree-walker's EvalBinaryFast all-int arm,
-  // including the division/modulo-by-zero errors.
-  static Value IntArith(Interpreter& interp, mj::BinaryOp op, int64_t lhs, int64_t rhs);
 };
 
 }  // namespace wasabi::vm

@@ -24,6 +24,8 @@
 #include <random>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -548,7 +550,8 @@ TEST(LangFuzzTest, PrinterFixpointAndInterpreterEquivalence) {
 // The bytecode VM (docs/PERFORMANCE.md) must be observationally identical to
 // the tree-walker on every generated program: same returned value or same
 // diagnostic (class and message, including the planted undefined-read name),
-// same step/loop/virtual-clock accounting, and the same execution log dump.
+// same step/loop/virtual-clock accounting, the same LoopObserver call
+// sequence, and the same execution log dump.
 
 struct EngineOutcome {
   bool threw = false;
@@ -557,8 +560,17 @@ struct EngineOutcome {
   int64_t value = 0;
   int64_t steps = 0;
   int64_t loop_iterations = 0;
+  // (method, virtual ms) of every LoopObserver call, in order.
+  std::vector<std::pair<std::string, int64_t>> loop_events;
   int64_t now_ms = 0;
   std::string log_dump;
+};
+
+struct RecordingLoopObserver : LoopObserver {
+  std::vector<std::pair<std::string, int64_t>> events;
+  void OnLoopIteration(std::string_view method, int64_t virtual_ms) override {
+    events.emplace_back(std::string(method), virtual_ms);
+  }
 };
 
 EngineOutcome RunEngine(const mj::Program& program, const mj::ProgramIndex& index,
@@ -566,6 +578,8 @@ EngineOutcome RunEngine(const mj::Program& program, const mj::ProgramIndex& inde
   InterpOptions options;
   options.engine = engine;
   Interpreter interp(program, index, options);
+  RecordingLoopObserver observer;
+  interp.set_loop_observer(&observer);
   EngineOutcome outcome;
   try {
     Value result = interp.Invoke("F.f");
@@ -578,6 +592,7 @@ EngineOutcome RunEngine(const mj::Program& program, const mj::ProgramIndex& inde
   }
   outcome.steps = interp.steps();
   outcome.loop_iterations = interp.loop_iterations();
+  outcome.loop_events = std::move(observer.events);
   outcome.now_ms = interp.now_ms();
   outcome.log_dump = interp.log().Dump();
   return outcome;
@@ -612,6 +627,7 @@ TEST(LangFuzzTest, VmAndTreeEnginesAreObservationallyIdentical) {
     // virtual clock fire at the same instants under either engine.
     EXPECT_EQ(vm.steps, tree.steps);
     EXPECT_EQ(vm.loop_iterations, tree.loop_iterations);
+    EXPECT_EQ(vm.loop_events, tree.loop_events);
     EXPECT_EQ(vm.now_ms, tree.now_ms);
     EXPECT_EQ(vm.log_dump, tree.log_dump);
   }

@@ -402,23 +402,31 @@ TEST(CauseChainOracle, WrapDepthTwoIsPrunedOnlyWithCauseChainScan) {
 
 // Raises an exception whose cause chain is a two-node CYCLE — buildable only
 // from the host side (mj constructors set causes at creation, so mj programs
-// cannot close the loop). The runner must terminate while extracting it.
+// cannot close the loop). The runner must terminate while extracting it. The
+// interceptor keeps both exceptions and opens the cycle when it is destroyed,
+// so the shared_ptr pair does not outlive the test.
 class CyclicCauseInterceptor : public CallInterceptor {
  public:
+  ~CyclicCauseInterceptor() override {
+    if (inner_ != nullptr) {
+      inner_->set_cause(nullptr);
+    }
+  }
+
   ObjectRef OnCall(const CallEvent& event, Interpreter& interp) override {
-    if (event.callee != "Cyclic.op" || fired_) {
+    if (event.callee != "Cyclic.op" || outer_ != nullptr) {
       return nullptr;
     }
-    fired_ = true;
-    ObjectRef outer = interp.MakeException("RuntimeException", "wrapper in a cause cycle");
-    ObjectRef inner = interp.MakeException("IOException", "inner in a cause cycle");
-    outer->set_cause(inner);
-    inner->set_cause(outer);
-    return outer;
+    outer_ = interp.MakeException("RuntimeException", "wrapper in a cause cycle");
+    inner_ = interp.MakeException("IOException", "inner in a cause cycle");
+    outer_->set_cause(inner_);
+    inner_->set_cause(outer_);
+    return outer_;
   }
 
  private:
-  bool fired_ = false;
+  ObjectRef outer_;
+  ObjectRef inner_;
 };
 
 TEST(CauseChainOracle, CyclicCauseChainIsCappedAndStillPrunable) {

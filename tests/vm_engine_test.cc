@@ -1,8 +1,9 @@
 // Bytecode VM tests (ctest label "vm", docs/PERFORMANCE.md): every program
 // here runs under both engines and must agree on the returned value or the
 // thrown diagnostic (class + exact message), on step/loop/virtual-clock
-// accounting, and on the execution log — the same observational-identity
-// contract the golden suite enforces end-to-end.
+// accounting, on the LoopObserver call sequence, and on the execution log —
+// the same observational-identity contract the golden suite enforces
+// end-to-end.
 //
 // This source is compiled twice: once as vm_engine_test against the library
 // build (computed-goto dispatch on GCC/Clang), and once as
@@ -15,6 +16,9 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
 
 #include "src/interp/interpreter.h"
 #include "src/lang/diagnostics.h"
@@ -31,8 +35,17 @@ struct Outcome {
   Value value;
   int64_t steps = 0;
   int64_t loop_iterations = 0;
+  // (method, virtual ms) of every LoopObserver call, in order.
+  std::vector<std::pair<std::string, int64_t>> loop_events;
   int64_t now_ms = 0;
   std::string log_dump;
+};
+
+struct RecordingLoopObserver : LoopObserver {
+  std::vector<std::pair<std::string, int64_t>> events;
+  void OnLoopIteration(std::string_view method, int64_t virtual_ms) override {
+    events.emplace_back(std::string(method), virtual_ms);
+  }
 };
 
 class VmEngineTest : public ::testing::Test {
@@ -48,6 +61,8 @@ class VmEngineTest : public ::testing::Test {
     InterpOptions options;
     options.engine = engine;
     Interpreter interp(program_, *index_, options);
+    RecordingLoopObserver observer;
+    interp.set_loop_observer(&observer);
     Outcome outcome;
     try {
       outcome.value = interp.Invoke(qualified);
@@ -58,6 +73,7 @@ class VmEngineTest : public ::testing::Test {
     }
     outcome.steps = interp.steps();
     outcome.loop_iterations = interp.loop_iterations();
+    outcome.loop_events = std::move(observer.events);
     outcome.now_ms = interp.now_ms();
     outcome.log_dump = interp.log().Dump();
     return outcome;
@@ -76,6 +92,7 @@ class VmEngineTest : public ::testing::Test {
     }
     EXPECT_EQ(vm.steps, tree.steps);
     EXPECT_EQ(vm.loop_iterations, tree.loop_iterations);
+    EXPECT_EQ(vm.loop_events, tree.loop_events);
     EXPECT_EQ(vm.now_ms, tree.now_ms);
     EXPECT_EQ(vm.log_dump, tree.log_dump);
     return vm;
@@ -101,9 +118,10 @@ TEST_F(VmEngineTest, DispatchKindMatchesBuildConfiguration) {
 #endif
 }
 
-TEST_F(VmEngineTest, SuperinstructionArithmeticLoop) {
-  // The hot shapes the compiler fuses: fused compare-and-branch loop heads,
-  // x += C, x = y + C, and slot-slot / slot-imm binaries.
+TEST_F(VmEngineTest, ArithmeticLoopParity) {
+  // An integer loop of the common statement shapes: a for-loop head
+  // comparison, x += y and x += C, x = x - C, a binary in a declaration, and
+  // a branch on a comparison.
   Load(R"(
     class C {
       int f() {
@@ -183,9 +201,58 @@ TEST_F(VmEngineTest, DivisionAndModuloByZeroDiagnostics) {
   }
 }
 
+TEST_F(VmEngineTest, IntegerOverflowWrapsLikeJavaLong) {
+  // mj integers are Java `long`s: `+`, `-`, `*` and negation wrap modulo 2^64
+  // on every arithmetic path of both engines and in the Math builtins, where
+  // C++ signed overflow would be undefined (a -DWASABI_UBSAN=ON build aborts
+  // on it). doubledBackoff is a retry loop with a capped sleep and an
+  // uncapped backoff, the shape that reaches overflow from a user app.
+  Load(R"(
+    class C {
+      int big = 9223372036854775807;
+      int maxPlusOne() { var max = 9223372036854775807; return max + 1; }
+      int minMinusOne() { var min = -9223372036854775807 - 1; return min - 1; }
+      int twoPow62TimesTwo() { var p = 4611686018427387904; return p * 2; }
+      int negateMin() { var min = -9223372036854775807 - 1; return -min; }
+      int addAssignAtMax() { var x = 9223372036854775807; x += 1; return x; }
+      int subAssignAtMin() {
+        var x = -9223372036854775807 - 1; var one = 1; x -= one; return x;
+      }
+      int fieldAddAssignAtMax() { this.big += 1; return this.big; }
+      int absMin() { var min = -9223372036854775807 - 1; return Math.abs(min); }
+      int powOverflow() { return Math.pow(60000, 4); }
+      int doubledBackoff() {
+        var backoff = 100;
+        for (var round = 0; round < 70; round++) {
+          Thread.sleep(Math.min(backoff, 1000));
+          backoff = backoff * 2;
+        }
+        return backoff;
+      }
+    }
+  )");
+  EXPECT_EQ(AsIntOrDie(RunBoth("C.maxPlusOne")), INT64_MIN);
+  EXPECT_EQ(AsIntOrDie(RunBoth("C.minMinusOne")), INT64_MAX);
+  EXPECT_EQ(AsIntOrDie(RunBoth("C.twoPow62TimesTwo")), INT64_MIN);
+  EXPECT_EQ(AsIntOrDie(RunBoth("C.negateMin")), INT64_MIN);
+  EXPECT_EQ(AsIntOrDie(RunBoth("C.addAssignAtMax")), INT64_MIN);
+  EXPECT_EQ(AsIntOrDie(RunBoth("C.subAssignAtMin")), INT64_MAX);
+  EXPECT_EQ(AsIntOrDie(RunBoth("C.fieldAddAssignAtMax")), INT64_MIN);
+  EXPECT_EQ(AsIntOrDie(RunBoth("C.absMin")), INT64_MIN);
+  // 60000^4 = 12960000000000000000, less 2^64.
+  EXPECT_EQ(AsIntOrDie(RunBoth("C.powOverflow")), INT64_C(-5486744073709551616));
+  // 100 * 2^70 == 25 * 2^72, a multiple of 2^64. The sleeps are 100..800,
+  // then 1000 while the wrapped backoff is positive (rounds 4-56, 59 and 60)
+  // and 0 while it is negative or zero.
+  Outcome backoff = RunBoth("C.doubledBackoff");
+  EXPECT_EQ(AsIntOrDie(backoff), 0);
+  EXPECT_EQ(backoff.loop_iterations, 70);
+  EXPECT_EQ(backoff.now_ms, 1500 + 55 * 1000);
+}
+
 TEST_F(VmEngineTest, UndefinedVariableReadAndWriteDiagnostics) {
   // The name resolves to a slot whose defining block has exited; both the
-  // kLoadSlot read and the fused-assign write paths must produce the tree
+  // kLoadSlot read and the kStepAssertSlot write paths must produce the tree
   // walker's exact wording and line number.
   Load(R"(
     class C {
