@@ -43,10 +43,11 @@ ctest --test-dir "$build_dir" 2>&1 | tee "$repo_root/test_output.txt"
 
 # Machine-readable interpreter-throughput record (docs/PERFORMANCE.md): the
 # interpreter and campaign benchmarks with their steps/sec and runs/sec
-# counters, plus the hardware_concurrency context value the throughput caveat
-# from the parallel-executor PR depends on.
+# counters and the front end's BM_ParseApp bytes/sec, plus the
+# hardware_concurrency context value the multi-worker throughput figures
+# depend on.
 "$build_dir/bench/micro_substrate" \
-  --benchmark_filter='Interpreter|CleanTestSuite|CampaignRunsPerSecond' \
+  --benchmark_filter='Interpreter|CleanTestSuite|CampaignRunsPerSecond|ParseApp' \
   --benchmark_min_time=0.3 \
   --benchmark_out="$repo_root/BENCH_interp.json" \
   --benchmark_out_format=json >/dev/null

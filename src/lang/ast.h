@@ -427,6 +427,8 @@ class CompilationUnit {
     return raw;
   }
 
+  void ReserveNodes(size_t count) { nodes_.reserve(count); }
+
   const AstNode* node(NodeId node_id) const {
     assert(node_id < nodes_.size());
     return nodes_[node_id].get();

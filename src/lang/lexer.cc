@@ -1,6 +1,5 @@
 #include "src/lang/lexer.h"
 
-#include <cctype>
 #include <cstdlib>
 #include <string>
 
@@ -8,21 +7,25 @@ namespace mj {
 
 namespace {
 
-bool IsIdentStart(char c) {
-  return std::isalpha(static_cast<unsigned char>(c)) || c == '_';
-}
+// ASCII character classes. Nothing sets a locale, so these are exactly the
+// "C" locale's std::isdigit/isalpha/isalnum/isspace without the calls.
+bool IsDigit(char c) { return c >= '0' && c <= '9'; }
 
-bool IsIdentCont(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
-}
+bool IsAlpha(char c) { return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z'); }
+
+bool IsSpace(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+
+bool IsIdentStart(char c) { return IsAlpha(c) || c == '_'; }
+
+bool IsIdentCont(char c) { return IsAlpha(c) || IsDigit(c) || c == '_'; }
 
 std::string TrimCopy(std::string_view view) {
   size_t begin = 0;
   size_t end = view.size();
-  while (begin < end && std::isspace(static_cast<unsigned char>(view[begin]))) {
+  while (begin < end && IsSpace(view[begin])) {
     ++begin;
   }
-  while (end > begin && std::isspace(static_cast<unsigned char>(view[end - 1]))) {
+  while (end > begin && IsSpace(view[end - 1])) {
     --end;
   }
   return std::string(view.substr(begin, end - begin));
@@ -35,13 +38,14 @@ Lexer::Lexer(const SourceFile& file, DiagnosticEngine& diag)
 
 std::vector<Token> Lexer::LexAll() {
   std::vector<Token> tokens;
-  while (true) {
-    Token token = Next();
-    tokens.push_back(token);
-    if (token.kind == TokenKind::kEndOfFile) {
-      break;
-    }
-  }
+  // The corpus averages about five bytes per token; one guess saves most of
+  // the regrowth copies.
+  tokens.reserve(text_.size() / 4 + 1);
+  // Each token is lexed in place: a copy of a just-written Token stalls on
+  // store forwarding.
+  do {
+    Next(tokens.emplace_back());
+  } while (!tokens.back().is(TokenKind::kEndOfFile));
   return tokens;
 }
 
@@ -65,7 +69,7 @@ bool Lexer::Match(char expected) {
 void Lexer::SkipWhitespaceAndComments() {
   while (!AtEnd()) {
     char c = Peek();
-    if (std::isspace(static_cast<unsigned char>(c))) {
+    if (IsSpace(c)) {
       ++pos_;
       continue;
     }
@@ -77,7 +81,7 @@ void Lexer::SkipWhitespaceAndComments() {
         ++pos_;
       }
       Comment comment;
-      comment.location = file_.LocationFor(start);
+      comment.location = LocationAt(start);
       comment.text = TrimCopy(text_.substr(text_start, pos_ - text_start));
       comment.is_block = false;
       comments_.push_back(std::move(comment));
@@ -92,12 +96,12 @@ void Lexer::SkipWhitespaceAndComments() {
       }
       uint32_t text_end = pos_;
       if (AtEnd()) {
-        diag_.Error(file_.LocationFor(start), "unterminated block comment");
+        diag_.Error(LocationAt(start), "unterminated block comment");
       } else {
         pos_ += 2;
       }
       Comment comment;
-      comment.location = file_.LocationFor(start);
+      comment.location = LocationAt(start);
       comment.text = TrimCopy(text_.substr(text_start, text_end - text_start));
       comment.is_block = true;
       comments_.push_back(std::move(comment));
@@ -107,46 +111,56 @@ void Lexer::SkipWhitespaceAndComments() {
   }
 }
 
-Token Lexer::MakeToken(TokenKind kind, uint32_t start) {
-  Token token;
-  token.kind = kind;
-  token.location = file_.LocationFor(start);
-  token.text = text_.substr(start, pos_ - start);
-  return token;
+// Same result as SourceFile::LocationFor, including its rule that a trailing
+// newline does not start a line. Inline, so the location is built in place:
+// returned out of line, GCC packs it through the stack and stalls the load.
+inline SourceLocation Lexer::LocationAt(uint32_t offset) {
+  const std::vector<uint32_t>& lines = file_.line_offsets();
+  if (offset < lines[line_index_]) {
+    return file_.LocationFor(offset);
+  }
+  while (line_index_ + 1 < lines.size() && lines[line_index_ + 1] <= offset) {
+    ++line_index_;
+  }
+  SourceLocation loc;
+  loc.offset = offset;
+  loc.line = line_index_ + 1;
+  loc.column = offset - lines[line_index_] + 1;
+  return loc;
 }
 
-Token Lexer::LexIdentifierOrKeyword() {
+void Lexer::MakeToken(Token& token, TokenKind kind, uint32_t start) {
+  token.kind = kind;
+  token.location = LocationAt(start);
+  token.text = text_.substr(start, pos_ - start);
+}
+
+void Lexer::LexIdentifierOrKeyword(Token& token) {
   uint32_t start = pos_;
   while (!AtEnd() && IsIdentCont(Peek())) {
     ++pos_;
   }
-  std::string_view lexeme = text_.substr(start, pos_ - start);
-  Token token = MakeToken(KeywordKind(lexeme), start);
-  if (token.kind == TokenKind::kIdentifier) {
-    token.symbol = symbols_.Intern(lexeme);
-  }
-  return token;
+  MakeToken(token, KeywordKind(text_.substr(start, pos_ - start)), start);
 }
 
-Token Lexer::LexNumber() {
+void Lexer::LexNumber(Token& token) {
   uint32_t start = pos_;
-  while (!AtEnd() && std::isdigit(static_cast<unsigned char>(Peek()))) {
+  while (!AtEnd() && IsDigit(Peek())) {
     ++pos_;
   }
   // Optional suffix 'L' for long literals, accepted and ignored.
   if (!AtEnd() && (Peek() == 'L' || Peek() == 'l')) {
     ++pos_;
   }
-  Token token = MakeToken(TokenKind::kIntLiteral, start);
+  MakeToken(token, TokenKind::kIntLiteral, start);
   std::string digits(token.text);
   if (!digits.empty() && (digits.back() == 'L' || digits.back() == 'l')) {
     digits.pop_back();
   }
   token.int_value = std::strtoll(digits.c_str(), nullptr, 10);
-  return token;
 }
 
-Token Lexer::LexString() {
+void Lexer::LexString(Token& token) {
   uint32_t start = pos_;
   ++pos_;  // Opening quote.
   std::string value;
@@ -174,107 +188,106 @@ Token Lexer::LexString() {
       continue;
     }
     if (c == '\n') {
-      diag_.Error(file_.LocationFor(start), "unterminated string literal");
-      Token token = MakeToken(TokenKind::kStringLiteral, start);
+      diag_.Error(LocationAt(start), "unterminated string literal");
+      MakeToken(token, TokenKind::kStringLiteral, start);
       token.string_value = string_storage_.emplace_back(std::move(value));
-      return token;
+      return;
     }
     value.push_back(c);
   }
   if (AtEnd()) {
-    diag_.Error(file_.LocationFor(start), "unterminated string literal");
+    diag_.Error(LocationAt(start), "unterminated string literal");
   } else {
     ++pos_;  // Closing quote.
   }
-  Token token = MakeToken(TokenKind::kStringLiteral, start);
+  MakeToken(token, TokenKind::kStringLiteral, start);
   token.string_value = string_storage_.emplace_back(std::move(value));
-  return token;
 }
 
-Token Lexer::Next() {
+void Lexer::Next(Token& token) {
   SkipWhitespaceAndComments();
   if (AtEnd()) {
-    return MakeToken(TokenKind::kEndOfFile, pos_);
+    return MakeToken(token, TokenKind::kEndOfFile, pos_);
   }
   uint32_t start = pos_;
   char c = Peek();
   if (IsIdentStart(c)) {
-    return LexIdentifierOrKeyword();
+    return LexIdentifierOrKeyword(token);
   }
-  if (std::isdigit(static_cast<unsigned char>(c))) {
-    return LexNumber();
+  if (IsDigit(c)) {
+    return LexNumber(token);
   }
   if (c == '"') {
-    return LexString();
+    return LexString(token);
   }
   ++pos_;
   switch (c) {
     case '(':
-      return MakeToken(TokenKind::kLParen, start);
+      return MakeToken(token, TokenKind::kLParen, start);
     case ')':
-      return MakeToken(TokenKind::kRParen, start);
+      return MakeToken(token, TokenKind::kRParen, start);
     case '{':
-      return MakeToken(TokenKind::kLBrace, start);
+      return MakeToken(token, TokenKind::kLBrace, start);
     case '}':
-      return MakeToken(TokenKind::kRBrace, start);
+      return MakeToken(token, TokenKind::kRBrace, start);
     case '[':
-      return MakeToken(TokenKind::kLBracket, start);
+      return MakeToken(token, TokenKind::kLBracket, start);
     case ']':
-      return MakeToken(TokenKind::kRBracket, start);
+      return MakeToken(token, TokenKind::kRBracket, start);
     case ',':
-      return MakeToken(TokenKind::kComma, start);
+      return MakeToken(token, TokenKind::kComma, start);
     case ';':
-      return MakeToken(TokenKind::kSemicolon, start);
+      return MakeToken(token, TokenKind::kSemicolon, start);
     case ':':
-      return MakeToken(TokenKind::kColon, start);
+      return MakeToken(token, TokenKind::kColon, start);
     case '.':
-      return MakeToken(TokenKind::kDot, start);
+      return MakeToken(token, TokenKind::kDot, start);
     case '+':
       if (Match('+')) {
-        return MakeToken(TokenKind::kPlusPlus, start);
+        return MakeToken(token, TokenKind::kPlusPlus, start);
       }
       if (Match('=')) {
-        return MakeToken(TokenKind::kPlusAssign, start);
+        return MakeToken(token, TokenKind::kPlusAssign, start);
       }
-      return MakeToken(TokenKind::kPlus, start);
+      return MakeToken(token, TokenKind::kPlus, start);
     case '-':
       if (Match('-')) {
-        return MakeToken(TokenKind::kMinusMinus, start);
+        return MakeToken(token, TokenKind::kMinusMinus, start);
       }
       if (Match('=')) {
-        return MakeToken(TokenKind::kMinusAssign, start);
+        return MakeToken(token, TokenKind::kMinusAssign, start);
       }
-      return MakeToken(TokenKind::kMinus, start);
+      return MakeToken(token, TokenKind::kMinus, start);
     case '*':
-      return MakeToken(TokenKind::kStar, start);
+      return MakeToken(token, TokenKind::kStar, start);
     case '/':
-      return MakeToken(TokenKind::kSlash, start);
+      return MakeToken(token, TokenKind::kSlash, start);
     case '%':
-      return MakeToken(TokenKind::kPercent, start);
+      return MakeToken(token, TokenKind::kPercent, start);
     case '=':
-      return MakeToken(Match('=') ? TokenKind::kEq : TokenKind::kAssign, start);
+      return MakeToken(token, Match('=') ? TokenKind::kEq : TokenKind::kAssign, start);
     case '!':
-      return MakeToken(Match('=') ? TokenKind::kNe : TokenKind::kNot, start);
+      return MakeToken(token, Match('=') ? TokenKind::kNe : TokenKind::kNot, start);
     case '<':
-      return MakeToken(Match('=') ? TokenKind::kLe : TokenKind::kLt, start);
+      return MakeToken(token, Match('=') ? TokenKind::kLe : TokenKind::kLt, start);
     case '>':
-      return MakeToken(Match('=') ? TokenKind::kGe : TokenKind::kGt, start);
+      return MakeToken(token, Match('=') ? TokenKind::kGe : TokenKind::kGt, start);
     case '&':
       if (Match('&')) {
-        return MakeToken(TokenKind::kAndAnd, start);
+        return MakeToken(token, TokenKind::kAndAnd, start);
       }
-      diag_.Error(file_.LocationFor(start), "unexpected character '&'");
-      return Next();
+      diag_.Error(LocationAt(start), "unexpected character '&'");
+      return Next(token);
     case '|':
       if (Match('|')) {
-        return MakeToken(TokenKind::kOrOr, start);
+        return MakeToken(token, TokenKind::kOrOr, start);
       }
-      diag_.Error(file_.LocationFor(start), "unexpected character '|'");
-      return Next();
+      diag_.Error(LocationAt(start), "unexpected character '|'");
+      return Next(token);
     default:
-      diag_.Error(file_.LocationFor(start),
+      diag_.Error(LocationAt(start),
                   std::string("unexpected character '") + c + "'");
-      return Next();
+      return Next(token);
   }
 }
 

@@ -10,7 +10,6 @@
 
 #include "src/lang/diagnostics.h"
 #include "src/lang/source.h"
-#include "src/lang/symtab.h"
 #include "src/lang/token.h"
 
 namespace mj {
@@ -26,6 +25,11 @@ namespace mj {
 // Token::string_value views into this lexer's decoded-string storage; a caller
 // that outlives the lexer must TakeStringStorage() (deque moves preserve
 // element addresses, so the views stay valid across the transfer).
+//
+// Locations: the lexer asks for offsets in increasing order, so it keeps a
+// line cursor over the file's line starts and walks it forward instead of
+// binary-searching per token. The cursor lives here, not in the SourceFile,
+// which is shared and read from worker threads.
 class Lexer {
  public:
   Lexer(const SourceFile& file, DiagnosticEngine& diag);
@@ -34,21 +38,21 @@ class Lexer {
   std::vector<Token> LexAll();
 
   const std::vector<Comment>& comments() const { return comments_; }
-
-  // Identifier spellings interned while lexing (Token::symbol indexes this).
-  const SymbolTable& symbols() const { return symbols_; }
+  std::vector<Comment> TakeComments() { return std::move(comments_); }
 
   // Transfers ownership of the decoded string-literal storage backing
   // Token::string_value views.
   std::deque<std::string> TakeStringStorage() { return std::move(string_storage_); }
 
  private:
-  Token Next();
-  Token MakeToken(TokenKind kind, uint32_t start);
+  // Each lexes one token into `token`, a default-constructed Token.
+  void Next(Token& token);
+  void LexIdentifierOrKeyword(Token& token);
+  void LexNumber(Token& token);
+  void LexString(Token& token);
+  void MakeToken(Token& token, TokenKind kind, uint32_t start);
+  SourceLocation LocationAt(uint32_t offset);
   void SkipWhitespaceAndComments();
-  Token LexIdentifierOrKeyword();
-  Token LexNumber();
-  Token LexString();
 
   char Peek(uint32_t lookahead = 0) const;
   char Advance();
@@ -59,8 +63,8 @@ class Lexer {
   DiagnosticEngine& diag_;
   std::string_view text_;
   uint32_t pos_ = 0;
+  uint32_t line_index_ = 0;  // 0-based line of the last location handed out.
   std::vector<Comment> comments_;
-  SymbolTable symbols_;
   std::deque<std::string> string_storage_;  // Stable addresses for the views.
 };
 

@@ -2,19 +2,83 @@
 
 #include <sstream>
 
-#include "src/lang/lexer.h"
-
 namespace mj {
 
+namespace {
+
+// How tightly a binary operator token binds (`instanceof` sits with the
+// relational operators); 0 for a token that ends a binary expression.
+int BinaryPrecedence(TokenKind kind) {
+  switch (kind) {
+    case TokenKind::kOrOr:
+      return 1;
+    case TokenKind::kAndAnd:
+      return 2;
+    case TokenKind::kEq:
+    case TokenKind::kNe:
+      return 3;
+    case TokenKind::kLt:
+    case TokenKind::kLe:
+    case TokenKind::kGt:
+    case TokenKind::kGe:
+    case TokenKind::kKwInstanceof:
+      return 4;
+    case TokenKind::kPlus:
+    case TokenKind::kMinus:
+      return 5;
+    case TokenKind::kStar:
+    case TokenKind::kSlash:
+    case TokenKind::kPercent:
+      return 6;
+    default:
+      return 0;
+  }
+}
+
+// The operator of a token BinaryPrecedence ranks, other than `instanceof`.
+BinaryOp BinaryOpFor(TokenKind kind) {
+  switch (kind) {
+    case TokenKind::kOrOr:
+      return BinaryOp::kOr;
+    case TokenKind::kAndAnd:
+      return BinaryOp::kAnd;
+    case TokenKind::kEq:
+      return BinaryOp::kEq;
+    case TokenKind::kNe:
+      return BinaryOp::kNe;
+    case TokenKind::kLt:
+      return BinaryOp::kLt;
+    case TokenKind::kLe:
+      return BinaryOp::kLe;
+    case TokenKind::kGt:
+      return BinaryOp::kGt;
+    case TokenKind::kGe:
+      return BinaryOp::kGe;
+    case TokenKind::kPlus:
+      return BinaryOp::kAdd;
+    case TokenKind::kMinus:
+      return BinaryOp::kSub;
+    case TokenKind::kStar:
+      return BinaryOp::kMul;
+    case TokenKind::kSlash:
+      return BinaryOp::kDiv;
+    case TokenKind::kPercent:
+    default:
+      return BinaryOp::kMod;
+  }
+}
+
+}  // namespace
+
 Parser::Parser(std::shared_ptr<const SourceFile> file, DiagnosticEngine& diag)
-    : file_(std::move(file)), diag_(diag) {}
+    : file_(std::move(file)), diag_(diag), lexer_(*file_, diag_) {}
 
 std::unique_ptr<CompilationUnit> Parser::ParseUnit() {
   unit_ = std::make_unique<CompilationUnit>(file_);
-  Lexer lexer(*file_, diag_);
-  tokens_ = lexer.LexAll();
-  token_strings_ = lexer.TakeStringStorage();
-  unit_->comments() = lexer.comments();
+  tokens_ = lexer_.LexAll();
+  // The corpus has about one node per two tokens.
+  unit_->ReserveNodes(tokens_.size() / 2 + 1);
+  unit_->comments() = lexer_.TakeComments();
   pos_ = 0;
 
   while (!AtEnd()) {
@@ -36,17 +100,9 @@ std::unique_ptr<CompilationUnit> Parser::ParseUnit() {
 // Token helpers
 // --------------------------------------------------------------------------
 
-const Token& Parser::Peek(size_t lookahead) const {
-  size_t index = pos_ + lookahead;
-  if (index >= tokens_.size()) {
-    index = tokens_.size() - 1;  // EOF token.
-  }
-  return tokens_[index];
-}
-
-Token Parser::Advance() {
-  Token token = Current();
-  if (pos_ + 1 < tokens_.size()) {
+const Token& Parser::Advance() {
+  const Token& token = Current();
+  if (!token.is(TokenKind::kEndOfFile)) {
     ++pos_;
   }
   return token;
@@ -60,7 +116,7 @@ bool Parser::Match(TokenKind kind) {
   return false;
 }
 
-Token Parser::Expect(TokenKind kind, const char* context) {
+const Token& Parser::Expect(TokenKind kind, const char* context) {
   if (Check(kind)) {
     return Advance();
   }
@@ -69,10 +125,10 @@ Token Parser::Expect(TokenKind kind, const char* context) {
       << TokenKindName(Current().kind);
   diag_.Error(Current().location, msg.str());
   // Return a synthesized token so callers can continue.
-  Token token;
-  token.kind = kind;
-  token.location = Current().location;
-  return token;
+  synthesized_ = Token();
+  synthesized_.kind = kind;
+  synthesized_.location = Current().location;
+  return synthesized_;
 }
 
 void Parser::SynchronizeStmt() {
@@ -110,12 +166,12 @@ void Parser::SynchronizeMember() {
 // --------------------------------------------------------------------------
 
 ClassDecl* Parser::ParseClass() {
-  Token class_kw = Expect(TokenKind::kKwClass, "to start a class");
-  Token name = Expect(TokenKind::kIdentifier, "after 'class'");
+  const Token& class_kw = Expect(TokenKind::kKwClass, "to start a class");
+  const Token& name = Expect(TokenKind::kIdentifier, "after 'class'");
   ClassDecl* cls = unit_->Create<ClassDecl>(class_kw.location);
   cls->name = std::string(name.text);
   if (Match(TokenKind::kKwExtends)) {
-    Token base = Expect(TokenKind::kIdentifier, "after 'extends'");
+    const Token& base = Expect(TokenKind::kIdentifier, "after 'extends'");
     cls->base_name = std::string(base.text);
   }
   Expect(TokenKind::kLBrace, "to open the class body");
@@ -144,7 +200,7 @@ void Parser::ParseMember(ClassDecl* cls) {
     return;
   }
 
-  Token name = Expect(TokenKind::kIdentifier, "as the member name");
+  const Token& name = Expect(TokenKind::kIdentifier, "as the member name");
 
   if (Check(TokenKind::kLParen)) {
     // Method.
@@ -180,7 +236,7 @@ void Parser::ParseMember(ClassDecl* cls) {
     Expect(TokenKind::kRParen, "to close the parameter list");
     if (Match(TokenKind::kKwThrows)) {
       do {
-        Token exc = Expect(TokenKind::kIdentifier, "in the throws clause");
+        const Token& exc = Expect(TokenKind::kIdentifier, "in the throws clause");
         method->throws.push_back(std::string(exc.text));
       } while (Match(TokenKind::kComma));
     }
@@ -244,12 +300,12 @@ Stmt* Parser::ParseStmtImpl() {
     case TokenKind::kKwReturn:
       return ParseReturn();
     case TokenKind::kKwBreak: {
-      Token token = Advance();
+      const Token& token = Advance();
       Expect(TokenKind::kSemicolon, "after 'break'");
       return unit_->Create<BreakStmt>(token.location);
     }
     case TokenKind::kKwContinue: {
-      Token token = Advance();
+      const Token& token = Advance();
       Expect(TokenKind::kSemicolon, "after 'continue'");
       return unit_->Create<ContinueStmt>(token.location);
     }
@@ -259,7 +315,7 @@ Stmt* Parser::ParseStmtImpl() {
 }
 
 BlockStmt* Parser::ParseBlock() {
-  Token open = Expect(TokenKind::kLBrace, "to open a block");
+  const Token& open = Expect(TokenKind::kLBrace, "to open a block");
   BlockStmt* block = unit_->Create<BlockStmt>(open.location);
   while (!Check(TokenKind::kRBrace) && !AtEnd()) {
     size_t before = pos_;
@@ -277,8 +333,8 @@ BlockStmt* Parser::ParseBlock() {
 }
 
 Stmt* Parser::ParseVarDecl() {
-  Token var_kw = Expect(TokenKind::kKwVar, "to start a variable declaration");
-  Token name = Expect(TokenKind::kIdentifier, "as the variable name");
+  const Token& var_kw = Expect(TokenKind::kKwVar, "to start a variable declaration");
+  const Token& name = Expect(TokenKind::kIdentifier, "as the variable name");
   VarDeclStmt* decl = unit_->Create<VarDeclStmt>(var_kw.location);
   decl->name = std::string(name.text);
   Expect(TokenKind::kAssign, "in a variable declaration (mj requires an initializer)");
@@ -288,7 +344,7 @@ Stmt* Parser::ParseVarDecl() {
 }
 
 Stmt* Parser::ParseIf() {
-  Token if_kw = Expect(TokenKind::kKwIf, "");
+  const Token& if_kw = Expect(TokenKind::kKwIf, "");
   Expect(TokenKind::kLParen, "after 'if'");
   IfStmt* stmt = unit_->Create<IfStmt>(if_kw.location);
   stmt->condition = ParseExpr();
@@ -301,7 +357,7 @@ Stmt* Parser::ParseIf() {
 }
 
 Stmt* Parser::ParseWhile() {
-  Token while_kw = Expect(TokenKind::kKwWhile, "");
+  const Token& while_kw = Expect(TokenKind::kKwWhile, "");
   Expect(TokenKind::kLParen, "after 'while'");
   WhileStmt* stmt = unit_->Create<WhileStmt>(while_kw.location);
   stmt->condition = ParseExpr();
@@ -311,7 +367,7 @@ Stmt* Parser::ParseWhile() {
 }
 
 Stmt* Parser::ParseFor() {
-  Token for_kw = Expect(TokenKind::kKwFor, "");
+  const Token& for_kw = Expect(TokenKind::kKwFor, "");
   Expect(TokenKind::kLParen, "after 'for'");
   ForStmt* stmt = unit_->Create<ForStmt>(for_kw.location);
   if (!Check(TokenKind::kSemicolon)) {
@@ -337,7 +393,7 @@ Stmt* Parser::ParseFor() {
 }
 
 Stmt* Parser::ParseSwitch() {
-  Token switch_kw = Expect(TokenKind::kKwSwitch, "");
+  const Token& switch_kw = Expect(TokenKind::kKwSwitch, "");
   Expect(TokenKind::kLParen, "after 'switch'");
   SwitchStmt* stmt = unit_->Create<SwitchStmt>(switch_kw.location);
   stmt->subject = ParseExpr();
@@ -378,17 +434,17 @@ Stmt* Parser::ParseSwitch() {
 }
 
 Stmt* Parser::ParseTry() {
-  Token try_kw = Expect(TokenKind::kKwTry, "");
+  const Token& try_kw = Expect(TokenKind::kKwTry, "");
   TryStmt* stmt = unit_->Create<TryStmt>(try_kw.location);
   stmt->body = ParseBlock();
   while (Check(TokenKind::kKwCatch)) {
-    Token catch_kw = Advance();
+    const Token& catch_kw = Advance();
     CatchClause clause;
     clause.location = catch_kw.location;
     Expect(TokenKind::kLParen, "after 'catch'");
-    Token type = Expect(TokenKind::kIdentifier, "as the caught exception type");
+    const Token& type = Expect(TokenKind::kIdentifier, "as the caught exception type");
     clause.exception_type = std::string(type.text);
-    Token var = Expect(TokenKind::kIdentifier, "as the caught exception variable");
+    const Token& var = Expect(TokenKind::kIdentifier, "as the caught exception variable");
     clause.variable = std::string(var.text);
     Expect(TokenKind::kRParen, "after the catch clause");
     clause.body = ParseBlock();
@@ -404,7 +460,7 @@ Stmt* Parser::ParseTry() {
 }
 
 Stmt* Parser::ParseThrow() {
-  Token throw_kw = Expect(TokenKind::kKwThrow, "");
+  const Token& throw_kw = Expect(TokenKind::kKwThrow, "");
   ThrowStmt* stmt = unit_->Create<ThrowStmt>(throw_kw.location);
   stmt->value = ParseExpr();
   Expect(TokenKind::kSemicolon, "after a throw statement");
@@ -412,7 +468,7 @@ Stmt* Parser::ParseThrow() {
 }
 
 Stmt* Parser::ParseReturn() {
-  Token return_kw = Expect(TokenKind::kKwReturn, "");
+  const Token& return_kw = Expect(TokenKind::kKwReturn, "");
   ReturnStmt* stmt = unit_->Create<ReturnStmt>(return_kw.location);
   if (!Check(TokenKind::kSemicolon)) {
     stmt->value = ParseExpr();
@@ -428,7 +484,7 @@ Stmt* Parser::ParseSimpleStmt(bool consume_semicolon) {
   Stmt* result = nullptr;
   if (Check(TokenKind::kAssign) || Check(TokenKind::kPlusAssign) ||
       Check(TokenKind::kMinusAssign)) {
-    Token op = Advance();
+    const Token& op = Advance();
     AssignStmt* assign = unit_->Create<AssignStmt>(start);
     assign->target = expr;
     assign->op = op.kind == TokenKind::kAssign      ? AssignOp::kAssign
@@ -440,7 +496,7 @@ Stmt* Parser::ParseSimpleStmt(bool consume_semicolon) {
     }
     result = assign;
   } else if (Check(TokenKind::kPlusPlus) || Check(TokenKind::kMinusMinus)) {
-    Token op = Advance();
+    const Token& op = Advance();
     AssignStmt* assign = unit_->Create<AssignStmt>(start);
     assign->target = expr;
     assign->op =
@@ -494,110 +550,36 @@ Expr* Parser::ParseExpr() {
     return unit_->Create<NullLiteralExpr>(Current().location);
   }
   ++expr_depth_;
-  Expr* expr = ParseOr();
+  Expr* expr = ParseBinary(1);
   --expr_depth_;
   return expr;
 }
 
-Expr* Parser::ParseOr() {
-  Expr* lhs = ParseAnd();
-  while (Check(TokenKind::kOrOr)) {
-    Token op = Advance();
-    BinaryExpr* expr = unit_->Create<BinaryExpr>(op.location);
-    expr->op = BinaryOp::kOr;
-    expr->lhs = lhs;
-    expr->rhs = ParseAnd();
-    lhs = expr;
-  }
-  return lhs;
-}
-
-Expr* Parser::ParseAnd() {
-  Expr* lhs = ParseEquality();
-  while (Check(TokenKind::kAndAnd)) {
-    Token op = Advance();
-    BinaryExpr* expr = unit_->Create<BinaryExpr>(op.location);
-    expr->op = BinaryOp::kAnd;
-    expr->lhs = lhs;
-    expr->rhs = ParseEquality();
-    lhs = expr;
-  }
-  return lhs;
-}
-
-Expr* Parser::ParseEquality() {
-  Expr* lhs = ParseRelational();
-  while (Check(TokenKind::kEq) || Check(TokenKind::kNe)) {
-    Token op = Advance();
-    BinaryExpr* expr = unit_->Create<BinaryExpr>(op.location);
-    expr->op = op.kind == TokenKind::kEq ? BinaryOp::kEq : BinaryOp::kNe;
-    expr->lhs = lhs;
-    expr->rhs = ParseRelational();
-    lhs = expr;
-  }
-  return lhs;
-}
-
-Expr* Parser::ParseRelational() {
-  Expr* lhs = ParseAdditive();
+// Precedence climbing over the six left-associative binary levels. Each
+// operator node is created before its right operand is parsed, so node ids
+// come out in the order a one-function-per-level descent gives them.
+Expr* Parser::ParseBinary(int min_precedence) {
+  Expr* lhs = ParseUnary();
   while (true) {
-    if (Check(TokenKind::kKwInstanceof)) {
-      Token op = Advance();
-      Token type = Expect(TokenKind::kIdentifier, "after 'instanceof'");
+    int precedence = BinaryPrecedence(Current().kind);
+    if (precedence < min_precedence) {
+      return lhs;
+    }
+    const Token& op = Advance();
+    if (op.kind == TokenKind::kKwInstanceof) {
+      const Token& type = Expect(TokenKind::kIdentifier, "after 'instanceof'");
       InstanceOfExpr* expr = unit_->Create<InstanceOfExpr>(op.location);
       expr->operand = lhs;
       expr->type_name = std::string(type.text);
       lhs = expr;
       continue;
     }
-    BinaryOp bin_op;
-    if (Check(TokenKind::kLt)) {
-      bin_op = BinaryOp::kLt;
-    } else if (Check(TokenKind::kLe)) {
-      bin_op = BinaryOp::kLe;
-    } else if (Check(TokenKind::kGt)) {
-      bin_op = BinaryOp::kGt;
-    } else if (Check(TokenKind::kGe)) {
-      bin_op = BinaryOp::kGe;
-    } else {
-      break;
-    }
-    Token op = Advance();
     BinaryExpr* expr = unit_->Create<BinaryExpr>(op.location);
-    expr->op = bin_op;
+    expr->op = BinaryOpFor(op.kind);
     expr->lhs = lhs;
-    expr->rhs = ParseAdditive();
+    expr->rhs = ParseBinary(precedence + 1);
     lhs = expr;
   }
-  return lhs;
-}
-
-Expr* Parser::ParseAdditive() {
-  Expr* lhs = ParseMultiplicative();
-  while (Check(TokenKind::kPlus) || Check(TokenKind::kMinus)) {
-    Token op = Advance();
-    BinaryExpr* expr = unit_->Create<BinaryExpr>(op.location);
-    expr->op = op.kind == TokenKind::kPlus ? BinaryOp::kAdd : BinaryOp::kSub;
-    expr->lhs = lhs;
-    expr->rhs = ParseMultiplicative();
-    lhs = expr;
-  }
-  return lhs;
-}
-
-Expr* Parser::ParseMultiplicative() {
-  Expr* lhs = ParseUnary();
-  while (Check(TokenKind::kStar) || Check(TokenKind::kSlash) || Check(TokenKind::kPercent)) {
-    Token op = Advance();
-    BinaryExpr* expr = unit_->Create<BinaryExpr>(op.location);
-    expr->op = op.kind == TokenKind::kStar    ? BinaryOp::kMul
-               : op.kind == TokenKind::kSlash ? BinaryOp::kDiv
-                                              : BinaryOp::kMod;
-    expr->lhs = lhs;
-    expr->rhs = ParseUnary();
-    lhs = expr;
-  }
-  return lhs;
 }
 
 Expr* Parser::ParseUnary() {
@@ -605,10 +587,10 @@ Expr* Parser::ParseUnary() {
     // Self-recursive, so it needs its own depth guard: `!!!!...x` never goes
     // back through ParseExpr.
     if (ExprDepthExceeded()) {
-      Token op = Advance();  // Consume the operator: progress even here.
+      const Token& op = Advance();  // Consume the operator: progress even here.
       return unit_->Create<NullLiteralExpr>(op.location);
     }
-    Token op = Advance();
+    const Token& op = Advance();
     UnaryExpr* expr = unit_->Create<UnaryExpr>(op.location);
     expr->op = op.kind == TokenKind::kNot ? UnaryOp::kNot : UnaryOp::kNegate;
     ++expr_depth_;
@@ -622,8 +604,8 @@ Expr* Parser::ParseUnary() {
 Expr* Parser::ParsePostfix() {
   Expr* expr = ParsePrimary();
   while (Check(TokenKind::kDot)) {
-    Token dot = Advance();
-    Token member = Expect(TokenKind::kIdentifier, "after '.'");
+    const Token& dot = Advance();
+    const Token& member = Expect(TokenKind::kIdentifier, "after '.'");
     if (Check(TokenKind::kLParen)) {
       CallExpr* call = unit_->Create<CallExpr>(dot.location);
       call->base = expr;
@@ -653,7 +635,7 @@ std::vector<Expr*> Parser::ParseArgs() {
 }
 
 Expr* Parser::ParsePrimary() {
-  Token token = Current();
+  const Token& token = Current();
   switch (token.kind) {
     case TokenKind::kIntLiteral: {
       Advance();
@@ -682,7 +664,7 @@ Expr* Parser::ParsePrimary() {
       return unit_->Create<ThisExpr>(token.location);
     case TokenKind::kKwNew: {
       Advance();
-      Token name = Expect(TokenKind::kIdentifier, "after 'new'");
+      const Token& name = Expect(TokenKind::kIdentifier, "after 'new'");
       NewExpr* expr = unit_->Create<NewExpr>(token.location);
       expr->class_name = std::string(name.text);
       expr->args = ParseArgs();

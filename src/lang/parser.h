@@ -3,13 +3,13 @@
 #ifndef WASABI_SRC_LANG_PARSER_H_
 #define WASABI_SRC_LANG_PARSER_H_
 
-#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "src/lang/ast.h"
 #include "src/lang/diagnostics.h"
+#include "src/lang/lexer.h"
 #include "src/lang/token.h"
 
 namespace mj {
@@ -25,13 +25,16 @@ class Parser {
   std::unique_ptr<CompilationUnit> ParseUnit();
 
  private:
-  // Token cursor helpers.
-  const Token& Peek(size_t lookahead = 0) const;
-  const Token& Current() const { return Peek(0); }
-  Token Advance();
+  // Token cursor helpers. The cursor never moves past the final kEndOfFile
+  // token, so it always indexes a token.
+  const Token& Current() const { return tokens_[pos_]; }
+  // Returns the consumed token; it stays valid for the parser's lifetime.
+  const Token& Advance();
   bool Check(TokenKind kind) const { return Current().kind == kind; }
   bool Match(TokenKind kind);
-  Token Expect(TokenKind kind, const char* context);
+  // Consumes a `kind` token, or reports a diagnostic and returns a
+  // synthesized one, which the next mismatch overwrites.
+  const Token& Expect(TokenKind kind, const char* context);
   bool AtEnd() const { return Current().kind == TokenKind::kEndOfFile; }
   void SynchronizeStmt();
   void SynchronizeMember();
@@ -56,14 +59,9 @@ class Parser {
   // statement (with trailing ';') and as a for-clause (without).
   Stmt* ParseSimpleStmt(bool consume_semicolon);
 
-  // Expressions, by descending precedence.
+  // Expressions. ParseBinary climbs the six binary precedence levels.
   Expr* ParseExpr();
-  Expr* ParseOr();
-  Expr* ParseAnd();
-  Expr* ParseEquality();
-  Expr* ParseRelational();
-  Expr* ParseAdditive();
-  Expr* ParseMultiplicative();
+  Expr* ParseBinary(int min_precedence);
   Expr* ParseUnary();
   Expr* ParsePostfix();
   Expr* ParsePrimary();
@@ -81,10 +79,11 @@ class Parser {
   std::shared_ptr<const SourceFile> file_;
   DiagnosticEngine& diag_;
   std::unique_ptr<CompilationUnit> unit_;
+  // Owns the decoded-string storage that Token::string_value views into, so
+  // it lives as long as tokens_.
+  Lexer lexer_;
   std::vector<Token> tokens_;
-  // Backs Token::string_value views for the lifetime of tokens_ (taken from
-  // the lexer; deque moves keep element addresses stable).
-  std::deque<std::string> token_strings_;
+  Token synthesized_;  // What a failed Expect returns.
   size_t pos_ = 0;
   int expr_depth_ = 0;
   int stmt_depth_ = 0;

@@ -8,9 +8,10 @@ namespace mj {
 SourceFile::SourceFile(std::string name, std::string text)
     : name_(std::move(name)), text_(std::move(text)) {
   line_offsets_.push_back(0);
-  for (uint32_t i = 0; i < text_.size(); ++i) {
-    if (text_[i] == '\n' && i + 1 < text_.size()) {
-      line_offsets_.push_back(i + 1);
+  // find() is memchr, which scans many bytes per step.
+  for (size_t i = text_.find('\n'); i != std::string::npos; i = text_.find('\n', i + 1)) {
+    if (i + 1 < text_.size()) {
+      line_offsets_.push_back(static_cast<uint32_t>(i + 1));
     }
   }
 }

@@ -46,6 +46,9 @@ class SourceFile {
   // Returns the text of a 1-based line without its trailing newline.
   std::string_view LineText(uint32_t line) const;
 
+  // Byte offset of the start of each line, ascending; never empty.
+  const std::vector<uint32_t>& line_offsets() const { return line_offsets_; }
+
  private:
   std::string name_;
   std::string text_;

@@ -1,7 +1,5 @@
 #include "src/lang/token.h"
 
-#include <unordered_map>
-
 namespace mj {
 
 std::string_view TokenKindName(TokenKind kind) {
@@ -127,35 +125,51 @@ std::string_view TokenKindName(TokenKind kind) {
 }
 
 TokenKind KeywordKind(std::string_view text) {
-  static const std::unordered_map<std::string_view, TokenKind> kKeywords = {
-      {"class", TokenKind::kKwClass},
-      {"extends", TokenKind::kKwExtends},
-      {"var", TokenKind::kKwVar},
-      {"if", TokenKind::kKwIf},
-      {"else", TokenKind::kKwElse},
-      {"while", TokenKind::kKwWhile},
-      {"for", TokenKind::kKwFor},
-      {"switch", TokenKind::kKwSwitch},
-      {"case", TokenKind::kKwCase},
-      {"default", TokenKind::kKwDefault},
-      {"try", TokenKind::kKwTry},
-      {"catch", TokenKind::kKwCatch},
-      {"finally", TokenKind::kKwFinally},
-      {"throw", TokenKind::kKwThrow},
-      {"throws", TokenKind::kKwThrows},
-      {"return", TokenKind::kKwReturn},
-      {"break", TokenKind::kKwBreak},
-      {"continue", TokenKind::kKwContinue},
-      {"new", TokenKind::kKwNew},
-      {"this", TokenKind::kKwThis},
-      {"null", TokenKind::kKwNull},
-      {"true", TokenKind::kKwTrue},
-      {"false", TokenKind::kKwFalse},
-      {"instanceof", TokenKind::kKwInstanceof},
-      {"static", TokenKind::kKwStatic},
-  };
-  auto it = kKeywords.find(text);
-  return it == kKeywords.end() ? TokenKind::kIdentifier : it->second;
+  // A switch on the length leaves at most six compares, each of a known
+  // length, and hashes nothing.
+  constexpr TokenKind kNone = TokenKind::kIdentifier;
+  switch (text.size()) {
+    case 2:
+      return text == "if" ? TokenKind::kKwIf : kNone;
+    case 3:
+      return text == "var"   ? TokenKind::kKwVar
+             : text == "for" ? TokenKind::kKwFor
+             : text == "try" ? TokenKind::kKwTry
+             : text == "new" ? TokenKind::kKwNew
+                             : kNone;
+    case 4:
+      return text == "else"   ? TokenKind::kKwElse
+             : text == "case" ? TokenKind::kKwCase
+             : text == "this" ? TokenKind::kKwThis
+             : text == "null" ? TokenKind::kKwNull
+             : text == "true" ? TokenKind::kKwTrue
+                              : kNone;
+    case 5:
+      return text == "class"   ? TokenKind::kKwClass
+             : text == "while" ? TokenKind::kKwWhile
+             : text == "catch" ? TokenKind::kKwCatch
+             : text == "throw" ? TokenKind::kKwThrow
+             : text == "break" ? TokenKind::kKwBreak
+             : text == "false" ? TokenKind::kKwFalse
+                               : kNone;
+    case 6:
+      return text == "switch"   ? TokenKind::kKwSwitch
+             : text == "throws" ? TokenKind::kKwThrows
+             : text == "return" ? TokenKind::kKwReturn
+             : text == "static" ? TokenKind::kKwStatic
+                                : kNone;
+    case 7:
+      return text == "extends"   ? TokenKind::kKwExtends
+             : text == "default" ? TokenKind::kKwDefault
+             : text == "finally" ? TokenKind::kKwFinally
+                                 : kNone;
+    case 8:
+      return text == "continue" ? TokenKind::kKwContinue : kNone;
+    case 10:
+      return text == "instanceof" ? TokenKind::kKwInstanceof : kNone;
+    default:
+      return kNone;
+  }
 }
 
 }  // namespace mj

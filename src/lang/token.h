@@ -8,7 +8,6 @@
 #include <string_view>
 
 #include "src/lang/source.h"
-#include "src/lang/symtab.h"
 
 namespace mj {
 
@@ -94,9 +93,6 @@ struct Token {
   // string storage (Lexer::TakeStringStorage transfers ownership), so tokens
   // stay trivially copyable and carry no per-token allocation.
   std::string_view string_value;
-  // Interned id when kind == kIdentifier (one hash per distinct spelling for
-  // the whole unit instead of one std::string per occurrence).
-  SymbolId symbol = kInvalidSymbol;
 
   bool is(TokenKind k) const { return kind == k; }
 };

@@ -38,6 +38,7 @@
 #include "src/lang/rewrite.h"
 #include "src/lang/sema.h"
 #include "src/repair/templates.h"
+#include "tests/lexer_locations.h"
 
 namespace wasabi {
 namespace {
@@ -544,6 +545,22 @@ TEST(LangFuzzTest, PrinterFixpointAndInterpreterEquivalence) {
   // undefined-name agreement above tests nothing.
   EXPECT_GT(undefined_programs, 10);
   EXPECT_LT(undefined_programs, kPrograms / 2);
+}
+
+// The lexer's line cursor agrees with SourceFile::LocationFor on every
+// generated program, with and without its trailing newline and with CRLF
+// line endings (tests/lexer_locations.h).
+TEST(LangFuzzTest, LexerLocationsMatchSourceFile) {
+  for (uint64_t seed = 1; seed <= 500; ++seed) {
+    Fuzzer fuzzer(seed * 0x9E3779B97F4A7C15ull);
+    const std::string source = fuzzer.Generate();
+    for (const std::string& text :
+         {source, mj::FlipTrailingNewline(source), mj::WithCrlf(source)}) {
+      mj::SourceFile file("fuzz.mj", text);
+      mj::LocationMismatch mismatch = mj::LexedLocationMismatches(file);
+      ASSERT_EQ(mismatch.count, 0u) << "seed=" << seed << ": " << mismatch.first;
+    }
+  }
 }
 
 // --- VM-vs-tree differential -------------------------------------------------

@@ -49,6 +49,11 @@ endif()
 if(NOT degraded_err MATCHES "skipping broken.mj")
   message(FATAL_ERROR "stderr does not explain the skipped file: ${degraded_err}")
 endif()
+# Each parse error names its file, so errors from several broken files can be
+# told apart.
+if(NOT degraded_err MATCHES "(^|\n)broken\\.mj:1:[0-9]+: error: ")
+  message(FATAL_ERROR "parse errors do not name broken.mj: ${degraded_err}")
+endif()
 file(REMOVE "${app}/broken.mj")
 
 # Chaos containment smoke: same seed, different worker counts, same bytes.

@@ -1,6 +1,7 @@
 # Runs the dynamic workflow on the smallest corpus app with --trace-out and
 # --metrics-out, checks both files parse as JSON (CMake's string(JSON) is a
-# strict parser), and checks instrumentation leaves stdout byte-identical.
+# strict parser), checks the loader's load.* spans are in the trace, and
+# checks instrumentation leaves stdout byte-identical.
 # Also exercises the strict flag parser: unknown options (including the
 # retired --engine) and a valueless --jobs must exit 2 with the usage line.
 file(REMOVE_RECURSE "${WORK_DIR}")
@@ -51,6 +52,15 @@ string(JSON event_count ERROR_VARIABLE err LENGTH "${trace_text}" "traceEvents")
 if(NOT err STREQUAL "NOTFOUND" OR event_count EQUAL 0)
   message(FATAL_ERROR "trace has no traceEvents (count='${event_count}', err='${err}')")
 endif()
+
+# The loader records its phases as spans of their own, so a trace splits the
+# front end (walk and read, lex and parse, index) from the analysis.
+foreach(span IN ITEMS load.read load.parse load.index)
+  string(FIND "${trace_text}" "\"name\":\"${span}\"" found)
+  if(found EQUAL -1)
+    message(FATAL_ERROR "trace has no ${span} span")
+  endif()
+endforeach()
 
 file(READ "${metrics_file}" metrics_text)
 string(JSON runs ERROR_VARIABLE err GET "${metrics_text}" "counters" "campaign.runs_total")

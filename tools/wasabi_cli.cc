@@ -495,63 +495,102 @@ void FinishCliCache(CacheStore* store, MetricsRegistry* metrics) {
   }
 }
 
-// Loads every .mj file under `root` (recursively) into a program. Paths are
-// recorded relative to `root` so reports are readable.
+// Reads `path` whole into `text`, sized from the file's size so the bytes
+// are copied once. A file that shrinks between the size check and the read
+// keeps what was read.
+bool ReadSourceFile(const fs::path& path, std::string* text) {
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
+  std::streamoff size = in ? static_cast<std::streamoff>(in.tellg()) : -1;
+  if (size < 0) {
+    return false;
+  }
+  text->resize(static_cast<size_t>(size));
+  in.seekg(0);
+  in.read(text->data(), size);
+  text->resize(static_cast<size_t>(in.gcount()));
+  return true;
+}
+
+// One app as the analysis commands load it: its program, the index every
+// command builds over it, and the files left out of it.
+struct LoadedApp {
+  mj::Program program;
+  std::unique_ptr<mj::ProgramIndex> index;
+  std::vector<SkippedFile> skipped;
+};
+
+// Loads every .mj file under `root` (recursively) into `app` and indexes the
+// program. Files are named by their path below `root` as walked, so the
+// names do not depend on how `root` is spelled, and a symlinked file keeps
+// its own name. The phases record load.read, load.parse and load.index spans
+// on `tracer` (null: no spans).
 //
 // Degraded-mode containment (docs/ROBUSTNESS.md): each file parses against
 // its own DiagnosticEngine, so a malformed or unreadable file is reported on
-// stderr, recorded in `skipped`, and left out of the program instead of
+// stderr, recorded in `app->skipped`, and left out of the program instead of
 // aborting the whole analysis. Only "no file loaded at all" is fatal.
-bool LoadProgram(const fs::path& root, mj::Program& program,
-                 std::vector<SkippedFile>* skipped) {
-  std::vector<fs::path> files;
-  std::error_code ec;
-  for (fs::recursive_directory_iterator it(root, ec), end; it != end && !ec;
-       it.increment(ec)) {
-    if (it->is_regular_file() && it->path().extension() == ".mj") {
-      files.push_back(it->path());
+bool LoadProgram(const fs::path& root, Tracer* tracer, LoadedApp* app) {
+  struct Source {
+    std::string name;
+    std::string text;
+    bool readable = false;
+  };
+  std::vector<Source> sources;
+  {
+    ScopedSpan span(tracer, "load.read");
+    std::vector<fs::path> files;
+    std::error_code ec;
+    for (fs::recursive_directory_iterator it(root, ec), end; it != end && !ec;
+         it.increment(ec)) {
+      if (it->is_regular_file() && it->path().extension() == ".mj") {
+        files.push_back(it->path());
+      }
+    }
+    if (ec) {
+      std::cerr << "error: cannot read " << root << ": " << ec.message() << "\n";
+      return false;
+    }
+    if (files.empty()) {
+      std::cerr << "error: no .mj files under " << root << "\n";
+      return false;
+    }
+    std::sort(files.begin(), files.end());
+    sources.resize(files.size());
+    for (size_t i = 0; i < files.size(); ++i) {
+      sources[i].name = files[i].lexically_relative(root).generic_string();
+      sources[i].readable = ReadSourceFile(files[i], &sources[i].text);
     }
   }
-  if (ec) {
-    std::cerr << "error: cannot read " << root << ": " << ec.message() << "\n";
-    return false;
-  }
-  if (files.empty()) {
-    std::cerr << "error: no .mj files under " << root << "\n";
-    return false;
-  }
-  std::sort(files.begin(), files.end());
   size_t loaded = 0;
-  for (const fs::path& file : files) {
-    std::string name = fs::relative(file, root, ec).generic_string();
-    std::ifstream in(file);
-    if (!in) {
-      std::cerr << "warning: skipping unreadable file " << name << "\n";
-      if (skipped != nullptr) {
-        skipped->push_back({name, "unreadable"});
+  {
+    ScopedSpan span(tracer, "load.parse");
+    // Warnings go out in file order, unreadable files included.
+    for (Source& source : sources) {
+      if (!source.readable) {
+        std::cerr << "warning: skipping unreadable file " << source.name << "\n";
+        app->skipped.push_back({source.name, "unreadable"});
+        continue;
       }
-      continue;
-    }
-    std::ostringstream text;
-    text << in.rdbuf();
-    mj::DiagnosticEngine diag;
-    auto unit = mj::ParseSource(name, text.str(), diag);
-    if (diag.has_errors()) {
-      std::cerr << diag.FormatAll(nullptr);
-      std::cerr << "warning: skipping " << name << " (" << diag.error_count()
-                << " parse error(s))\n";
-      if (skipped != nullptr) {
-        skipped->push_back({name, std::to_string(diag.error_count()) + " parse error(s)"});
+      mj::DiagnosticEngine diag;
+      auto unit = mj::ParseSource(source.name, std::move(source.text), diag);
+      if (diag.has_errors()) {
+        std::cerr << diag.FormatAll(&unit->file());
+        std::cerr << "warning: skipping " << source.name << " (" << diag.error_count()
+                  << " parse error(s))\n";
+        app->skipped.push_back(
+            {source.name, std::to_string(diag.error_count()) + " parse error(s)"});
+        continue;
       }
-      continue;
+      app->program.AddUnit(std::move(unit));
+      ++loaded;
     }
-    program.AddUnit(std::move(unit));
-    ++loaded;
   }
   if (loaded == 0) {
     std::cerr << "error: no loadable .mj files under " << root << "\n";
     return false;
   }
+  ScopedSpan span(tracer, "load.index");
+  app->index = std::make_unique<mj::ProgramIndex>(app->program);
   return true;
 }
 
@@ -600,7 +639,9 @@ int DumpCorpus(const fs::path& root, const CliOptions& cli) {
 
 WasabiOptions OptionsFor(const fs::path& root) {
   WasabiOptions options;
-  options.app_name = root.filename().generic_string();
+  // "dir/" names the same app as "dir".
+  options.app_name =
+      (root.has_filename() ? root : root.parent_path()).filename().generic_string();
   if (options.app_name.empty()) {
     options.app_name = "app";
   }
@@ -608,13 +649,11 @@ WasabiOptions OptionsFor(const fs::path& root) {
 }
 
 int Identify(const fs::path& root, const CliOptions& cli) {
-  mj::Program program;
-  std::vector<SkippedFile> skipped;
-  if (!LoadProgram(root, program, &skipped)) {
+  LoadedApp app;
+  if (!LoadProgram(root, nullptr, &app)) {
     return 1;
   }
-  mj::ProgramIndex index(program);
-  Wasabi tool(program, index, OptionsFor(root));
+  Wasabi tool(app.program, *app.index, OptionsFor(root));
   std::unique_ptr<CacheStore> cache = OpenCliCache(cli);
   tool.set_cache(cache.get());
   IdentificationResult result = tool.IdentifyRetryStructures();
@@ -692,14 +731,12 @@ bool ExportObservability(const CliOptions& cli, const std::string& app, ObsSinks
 
 int StaticWorkflow(const fs::path& root, const CliOptions& cli) {
   bool json = cli.json;
-  mj::Program program;
-  std::vector<SkippedFile> skipped;
-  if (!LoadProgram(root, program, &skipped)) {
+  ObsSinks obs(cli);
+  LoadedApp app;
+  if (!LoadProgram(root, obs.tracer_ptr, &app)) {
     return 1;
   }
-  mj::ProgramIndex index(program);
-  Wasabi tool(program, index, OptionsFor(root));
-  ObsSinks obs(cli);
+  Wasabi tool(app.program, *app.index, OptionsFor(root));
   tool.set_observability(obs.tracer_ptr, obs.metrics_ptr, obs.progress_ptr, obs.journal_ptr);
   std::unique_ptr<CacheStore> cache = OpenCliCache(cli);
   tool.set_cache(cache.get());
@@ -709,7 +746,7 @@ int StaticWorkflow(const fs::path& root, const CliOptions& cli) {
     return 1;
   }
   ReportHealth health;
-  health.skipped_files = skipped;
+  health.skipped_files = app.skipped;
   if (json) {
     std::vector<BugReport> all = result.when_bugs;
     all.insert(all.end(), result.if_bugs.begin(), result.if_bugs.end());
@@ -750,14 +787,12 @@ WasabiOptions DynamicOptionsFor(const fs::path& root, const CliOptions& cli) {
 // replayed journal events and verdict are identical to the record, 1 on any
 // divergence or load failure.
 int Replay(const fs::path& root, const CliOptions& cli) {
-  mj::Program program;
-  std::vector<SkippedFile> skipped;
-  if (!LoadProgram(root, program, &skipped)) {
+  ObsSinks obs(cli);
+  LoadedApp app;
+  if (!LoadProgram(root, obs.tracer_ptr, &app)) {
     return 1;
   }
-  mj::ProgramIndex index(program);
-  Wasabi tool(program, index, DynamicOptionsFor(root, cli));
-  ObsSinks obs(cli);
+  Wasabi tool(app.program, *app.index, DynamicOptionsFor(root, cli));
   tool.set_observability(obs.tracer_ptr, obs.metrics_ptr, obs.progress_ptr, obs.journal_ptr);
   ReplayOutcome outcome = tool.ReplayRun(cli.record_dir,
                                          static_cast<uint64_t>(cli.replay_run_id));
@@ -792,16 +827,14 @@ int Replay(const fs::path& root, const CliOptions& cli) {
 }
 
 int DynamicWorkflow(const fs::path& root, const CliOptions& cli) {
-  mj::Program program;
-  std::vector<SkippedFile> skipped;
-  if (!LoadProgram(root, program, &skipped)) {
+  ObsSinks obs(cli);
+  LoadedApp app;
+  if (!LoadProgram(root, obs.tracer_ptr, &app)) {
     return 1;
   }
-  mj::ProgramIndex index(program);
   WasabiOptions options = DynamicOptionsFor(root, cli);
   options.record_dir = cli.record_dir;
-  Wasabi tool(program, index, options);
-  ObsSinks obs(cli);
+  Wasabi tool(app.program, *app.index, options);
   tool.set_observability(obs.tracer_ptr, obs.metrics_ptr, obs.progress_ptr, obs.journal_ptr);
   std::unique_ptr<CacheStore> cache = OpenCliCache(cli);
   tool.set_cache(cache.get());
@@ -811,7 +844,7 @@ int DynamicWorkflow(const fs::path& root, const CliOptions& cli) {
     std::cerr << "warning: recording failed: " << result.record_error << "\n";
   }
   ReportHealth health;
-  health.skipped_files = skipped;
+  health.skipped_files = app.skipped;
   health.quarantined = result.quarantined;
   {
     // Report formatting gets its own span so a trace accounts for the whole
@@ -861,7 +894,7 @@ int DynamicWorkflow(const fs::path& root, const CliOptions& cli) {
     // feeds only the obs sinks (journal/metrics/trace, and --storm-out), so
     // stdout is byte-identical with and without --storm.
     std::vector<EdgeRetryProfile> profiles =
-        ExtractRetryProfiles(program, index, cli.jobs, obs.tracer_ptr);
+        ExtractRetryProfiles(app.program, *app.index, cli.jobs, obs.tracer_ptr);
     StormReport storm = RunStormSim(options.app_name, profiles, cli.storm_options,
                                     obs.journal_ptr, obs.tracer_ptr);
     ExportStormStats(storm, obs.metrics_ptr, obs.tracer_ptr);
@@ -887,16 +920,14 @@ int DynamicWorkflow(const fs::path& root, const CliOptions& cli) {
 // summary text otherwise) and the kStorm journal stream are byte-identical at
 // any --jobs N and across repeated same-seed runs.
 int StormCommand(const fs::path& root, const CliOptions& cli) {
-  mj::Program program;
-  std::vector<SkippedFile> skipped;
-  if (!LoadProgram(root, program, &skipped)) {
+  ObsSinks obs(cli);
+  LoadedApp loaded;
+  if (!LoadProgram(root, obs.tracer_ptr, &loaded)) {
     return 1;
   }
-  mj::ProgramIndex index(program);
   const std::string app = OptionsFor(root).app_name;
-  ObsSinks obs(cli);
   std::vector<EdgeRetryProfile> profiles =
-      ExtractRetryProfiles(program, index, cli.jobs, obs.tracer_ptr);
+      ExtractRetryProfiles(loaded.program, *loaded.index, cli.jobs, obs.tracer_ptr);
   if (profiles.empty()) {
     std::cerr << "error: no storm-profilable services (zero-arg handle() plus send()) under "
               << root << "\n";
@@ -926,13 +957,11 @@ int StormCommand(const fs::path& root, const CliOptions& cli) {
 // The report (JSON with --json, summary text otherwise) is byte-identical at
 // any --jobs N and with the cache off/cold/warm.
 int RepairCommand(const fs::path& root, const CliOptions& cli) {
-  mj::Program program;
-  std::vector<SkippedFile> skipped;
-  if (!LoadProgram(root, program, &skipped)) {
+  ObsSinks obs(cli);
+  LoadedApp app;
+  if (!LoadProgram(root, obs.tracer_ptr, &app)) {
     return 1;
   }
-  mj::ProgramIndex index(program);
-  ObsSinks obs(cli);
   std::unique_ptr<CacheStore> cache = OpenCliCache(cli);
   RepairOptions options;
   options.wasabi = DynamicOptionsFor(root, cli);
@@ -945,7 +974,7 @@ int RepairCommand(const fs::path& root, const CliOptions& cli) {
   options.wasabi.journal = obs.journal_ptr;
   options.wasabi.cache = cache.get();
   options.storm = cli.storm_options;
-  RepairReport report = RunRepair(program, index, options);
+  RepairReport report = RunRepair(app.program, *app.index, options);
   ExportRepairStats(report, obs.metrics_ptr);
   FinishCliCache(cache.get(), obs.metrics_ptr);
   std::string json = RepairReportToJson(report);
