@@ -5,8 +5,8 @@
 //   cold  — empty --cache-dir: every lookup misses, everything executes, the
 //           store is populated and flushed,
 //   warm  — a fresh process image (fresh stores, fresh Wasabi instances)
-//           re-running the identical workload: per-file SimLLM results,
-//           coverage runs, and whole-campaign verdicts all replay,
+//           re-running the identical workload: per-file SimLLM results and
+//           each app's dynamic-workflow entry replay,
 //   off   — no cache at all, the byte-identity reference.
 //
 // The committed BENCH_cache.json records the cold/warm seconds and speedup

@@ -32,7 +32,9 @@ namespace wasabi {
 
 // Bumping this invalidates every existing cache directory.
 // v2: campaign run verdicts carry flakiness-prober classification fields.
-inline constexpr std::string_view kCacheSchemaVersion = "wasabi-cache-v2";
+// v3: one "camp" entry per dynamic workflow replaces the per-test "cov",
+//     per-run "run" and per-campaign "camp" entries.
+inline constexpr std::string_view kCacheSchemaVersion = "wasabi-cache-v3";
 
 struct CacheStats {
   int64_t hits = 0;

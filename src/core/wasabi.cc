@@ -3,13 +3,12 @@
 #include <algorithm>
 #include <bit>
 #include <chrono>
-#include <cstdlib>
 #include <map>
 #include <unordered_map>
 #include <unordered_set>
 
+#include "src/core/cache_codec.h"
 #include "src/exec/campaign.h"
-#include "src/exec/campaign_cache.h"
 #include "src/exec/task_pool.h"
 #include "src/obs/retry_stats.h"
 #include "src/inject/injector.h"
@@ -59,57 +58,10 @@ void ExportPoolMetrics(MetricsRegistry& metrics, const TaskPool& pool, int worke
 // --- Result-cache plumbing (docs/CACHING.md) --------------------------------
 //
 // Per-file SimLLM memos live in the "q1" (identification) and "when" (static
-// workflow) namespaces, keyed by (llm-config digest, file content digest).
-// Entries hold only identifiers, booleans, and counters — never free text —
-// so the codec needs no escaping; any shape violation decodes as a miss.
-
-constexpr char kFieldSep = '\x1f';
-constexpr char kRecordSep = '\x1e';
-constexpr char kCacheNsIdentify[] = "q1";
-constexpr char kCacheNsWhen[] = "when";
-
-std::vector<std::string_view> SplitEntry(std::string_view text, char sep) {
-  std::vector<std::string_view> parts;
-  size_t start = 0;
-  while (true) {
-    size_t pos = text.find(sep, start);
-    if (pos == std::string_view::npos) {
-      parts.push_back(text.substr(start));
-      return parts;
-    }
-    parts.push_back(text.substr(start, pos - start));
-    start = pos + 1;
-  }
-}
-
-bool ParseCachedInt(std::string_view field, int64_t* out) {
-  if (field.empty()) {
-    return false;
-  }
-  std::string buffer(field);
-  char* end = nullptr;
-  long long value = std::strtoll(buffer.c_str(), &end, 10);
-  if (end != buffer.c_str() + buffer.size()) {
-    return false;
-  }
-  *out = static_cast<int64_t>(value);
-  return true;
-}
-
-bool ParseCachedBool(std::string_view field, bool* out) {
-  if (field == "0" || field == "1") {
-    *out = field == "1";
-    return true;
-  }
-  return false;
-}
-
-void AppendCachedField(std::string& out, std::string_view field) {
-  if (!out.empty() && out.back() != kRecordSep) {
-    out.push_back(kFieldSep);
-  }
-  out.append(field);
-}
+// workflow) namespaces, keyed by (llm-config digest, file content digest);
+// the dynamic workflow's one memo lives in "camp", keyed by (program digest,
+// dynamic-config digest, location-list digest). The entry codecs are in
+// src/core/cache_codec.h.
 
 // Length-delimited string fold: plain concatenation would let adjacent fields
 // alias ("ab"+"c" vs "a"+"bc").
@@ -196,142 +148,6 @@ uint64_t DigestLocationList(const std::vector<RetryLocation>& locations) {
     hash = DigestStringField(location.Key(), hash);
   }
   return hash;
-}
-
-// "q1" entry: header (performs_retry, truncated, usage delta), then one
-// record per coordinator (qualified name, mechanism, evidence, has-method).
-std::string EncodeIdentifyEntry(const LlmFileFindings& findings, const LlmUsage& delta) {
-  std::string out;
-  AppendCachedField(out, findings.performs_retry ? "1" : "0");
-  AppendCachedField(out, findings.truncated_by_attention ? "1" : "0");
-  AppendCachedField(out, std::to_string(delta.calls));
-  AppendCachedField(out, std::to_string(delta.bytes_sent));
-  AppendCachedField(out, std::to_string(delta.prompt_tokens));
-  for (const LlmCoordinator& coordinator : findings.coordinators) {
-    out.push_back(kRecordSep);
-    std::string record;
-    AppendCachedField(record, coordinator.qualified_name);
-    AppendCachedField(record, std::to_string(static_cast<int>(coordinator.mechanism)));
-    AppendCachedField(record, std::to_string(coordinator.evidence_score));
-    AppendCachedField(record, coordinator.method != nullptr ? "1" : "0");
-    out.append(record);
-  }
-  return out;
-}
-
-bool DecodeIdentifyEntry(const std::string& entry, const mj::ProgramIndex& index,
-                         const std::string& file, LlmFileFindings* findings, LlmUsage* delta) {
-  std::vector<std::string_view> records = SplitEntry(entry, kRecordSep);
-  std::vector<std::string_view> header = SplitEntry(records[0], kFieldSep);
-  if (header.size() != 5) {
-    return false;
-  }
-  LlmFileFindings out;
-  LlmUsage usage;
-  out.file = file;
-  if (!ParseCachedBool(header[0], &out.performs_retry) ||
-      !ParseCachedBool(header[1], &out.truncated_by_attention) ||
-      !ParseCachedInt(header[2], &usage.calls) || !ParseCachedInt(header[3], &usage.bytes_sent) ||
-      !ParseCachedInt(header[4], &usage.prompt_tokens)) {
-    return false;
-  }
-  for (size_t r = 1; r < records.size(); ++r) {
-    std::vector<std::string_view> fields = SplitEntry(records[r], kFieldSep);
-    if (fields.size() != 4) {
-      return false;
-    }
-    LlmCoordinator coordinator;
-    coordinator.qualified_name = std::string(fields[0]);
-    int64_t mechanism = 0;
-    int64_t evidence = 0;
-    bool has_method = false;
-    if (!ParseCachedInt(fields[1], &mechanism) || mechanism < 0 ||
-        mechanism > static_cast<int64_t>(RetryMechanism::kStateMachine) ||
-        !ParseCachedInt(fields[2], &evidence) || !ParseCachedBool(fields[3], &has_method)) {
-      return false;
-    }
-    coordinator.mechanism = static_cast<RetryMechanism>(mechanism);
-    coordinator.evidence_score = static_cast<int>(evidence);
-    if (has_method) {
-      coordinator.method = index.FindQualified(coordinator.qualified_name);
-      if (coordinator.method == nullptr) {
-        return false;  // The file digest matched but the AST disagrees: miss.
-      }
-    }
-    out.coordinators.push_back(std::move(coordinator));
-  }
-  *findings = std::move(out);
-  *delta = usage;
-  return true;
-}
-
-// "when" entry: header (usage delta over AnalyzeFile + every JudgeWhen), then
-// one record per coordinator (qualified name, has-method, Q2/Q3/Q4 answers).
-struct CachedWhenJudgment {
-  std::string qualified_name;
-  const mj::MethodDecl* method = nullptr;
-  bool sleeps_before_retry = false;
-  bool has_cap = false;
-  bool poll_or_spin = false;
-};
-
-std::string EncodeWhenEntry(const std::vector<CachedWhenJudgment>& judgments,
-                            const LlmUsage& delta) {
-  std::string out;
-  AppendCachedField(out, std::to_string(delta.calls));
-  AppendCachedField(out, std::to_string(delta.bytes_sent));
-  AppendCachedField(out, std::to_string(delta.prompt_tokens));
-  for (const CachedWhenJudgment& judgment : judgments) {
-    out.push_back(kRecordSep);
-    std::string record;
-    AppendCachedField(record, judgment.qualified_name);
-    AppendCachedField(record, judgment.method != nullptr ? "1" : "0");
-    AppendCachedField(record, judgment.sleeps_before_retry ? "1" : "0");
-    AppendCachedField(record, judgment.has_cap ? "1" : "0");
-    AppendCachedField(record, judgment.poll_or_spin ? "1" : "0");
-    out.append(record);
-  }
-  return out;
-}
-
-bool DecodeWhenEntry(const std::string& entry, const mj::ProgramIndex& index,
-                     std::vector<CachedWhenJudgment>* judgments, LlmUsage* delta) {
-  std::vector<std::string_view> records = SplitEntry(entry, kRecordSep);
-  std::vector<std::string_view> header = SplitEntry(records[0], kFieldSep);
-  if (header.size() != 3) {
-    return false;
-  }
-  LlmUsage usage;
-  if (!ParseCachedInt(header[0], &usage.calls) || !ParseCachedInt(header[1], &usage.bytes_sent) ||
-      !ParseCachedInt(header[2], &usage.prompt_tokens)) {
-    return false;
-  }
-  std::vector<CachedWhenJudgment> out;
-  for (size_t r = 1; r < records.size(); ++r) {
-    std::vector<std::string_view> fields = SplitEntry(records[r], kFieldSep);
-    if (fields.size() != 5) {
-      return false;
-    }
-    CachedWhenJudgment judgment;
-    judgment.qualified_name = std::string(fields[0]);
-    bool has_method = false;
-    if (!ParseCachedBool(fields[1], &has_method) ||
-        !ParseCachedBool(fields[2], &judgment.sleeps_before_retry) ||
-        !ParseCachedBool(fields[3], &judgment.has_cap) ||
-        !ParseCachedBool(fields[4], &judgment.poll_or_spin)) {
-      return false;
-    }
-    if (has_method) {
-      judgment.method = index.FindQualified(judgment.qualified_name);
-      if (judgment.method == nullptr) {
-        return false;
-      }
-    }
-    out.push_back(std::move(judgment));
-  }
-  *judgments = std::move(out);
-  *delta = usage;
-  return true;
 }
 
 // Cache-lookup telemetry: one metrics increment, one cumulative Chrome
@@ -689,29 +505,43 @@ DynamicResult Wasabi::RunDynamicWorkflow() {
   TaskPool pool(options_.jobs);
   result.jobs_used = pool.worker_count();
   CampaignObs obs{options_.tracer, options_.metrics, options_.progress, options_.journal};
+  // Record mode writes each run's slice of the campaign journal: the
+  // caller's, or a private one when none is attached.
+  const bool recording = !options_.record_dir.empty();
+  std::optional<RetryJournal> record_journal;
+  CampaignObs campaign_obs = obs;
+  if (recording && campaign_obs.journal == nullptr) {
+    campaign_obs.journal = &record_journal.emplace();
+  }
 
-  // Cache context for the execution phases: every key folds in the program
-  // digest, the workflow-config digest, and the retry-location-list digest,
-  // so any corpus or option change invalidates exactly what it must.
-  CampaignCacheContext cache_context;
+  // The workflow's memo: one all-or-nothing entry per (program, dynamic
+  // config, location list) holding everything the phases below produce. A
+  // journaled or recording run never reads it (a restored run executes
+  // nothing to journal) but still writes it.
+  std::string cache_key;
+  bool warm = false;
   if (options_.cache != nullptr) {
-    cache_context.store = options_.cache;
-    cache_context.prefix = mj::DigestHex(GetProgramDigest().digest) + "|" +
-                           mj::DigestHex(DigestDynamicConfig(options_)) + "|" +
-                           mj::DigestHex(DigestLocationList(result.locations)) + "|";
+    cache_key = mj::DigestHex(GetProgramDigest().digest) + "|" +
+                mj::DigestHex(DigestDynamicConfig(options_)) + "|" +
+                mj::DigestHex(DigestLocationList(result.locations));
+    if (campaign_obs.journal == nullptr) {
+      std::optional<std::string> entry = options_.cache->Get(kCacheNsDynamic, cache_key);
+      warm = entry.has_value() && DecodeDynamicEntry(*entry, &result);
+      CacheLookupCounters lookups;
+      CountCacheLookup(options_, kCacheNsDynamic, warm, lookups);
+    }
   }
 
   // Coverage discovery run (one run of every test).
   phase_start = Clock::now();
-  {
+  if (!warm) {
     ScopedSpan span(options_.tracer, "phase.coverage");
     span.AddArg("tests", static_cast<int64_t>(tests.size()));
     if (options_.progress != nullptr) {
       options_.progress->Begin("coverage", tests.size());
     }
     CoverageOutcome coverage_outcome =
-        MapCoverageCached(runner, tests, result.locations, pool, options_.robust, obs,
-                          cache_context);
+        MapCoverageRobust(runner, tests, result.locations, pool, options_.robust, obs);
     result.coverage = std::move(coverage_outcome.coverage);
     result.quarantined = std::move(coverage_outcome.quarantined);
     result.robustness.MergeFrom(coverage_outcome.robustness);
@@ -759,65 +589,8 @@ DynamicResult Wasabi::RunDynamicWorkflow() {
   // id-ordered results, which is exactly the order the serial loop produced
   // (plan-entry-major, K-minor) — worker scheduling cannot change the output.
   phase_start = Clock::now();
-  std::vector<CampaignRunResult> campaign;
-  std::vector<OracleReport> all_reports;
-  // Record mode writes each run's slice of the campaign journal: the
-  // caller's, or a private one when none is attached.
-  const bool recording = !options_.record_dir.empty();
-  std::optional<RetryJournal> record_journal;
-  CampaignObs campaign_obs = obs;
-  if (recording && campaign_obs.journal == nullptr) {
-    campaign_obs.journal = &record_journal.emplace();
-  }
-  const bool journaling = campaign_obs.journal != nullptr;
-  // All-or-nothing campaign replay: a warm hit yields the exact post-oracle
-  // reports (classification included), quarantine records, and resilience
-  // counters a cold campaign produces, in the same order; any gap runs
-  // everything cold and re-stores. A journaled campaign runs cold — a warm
-  // replay executes nothing, so there would be no retry behavior to journal.
-  CachedCampaign cached_campaign;
-  const bool campaign_warm =
-      !journaling && cache_context.enabled() &&
-      TryLoadCampaign(cache_context, specs, result.locations, &cached_campaign);
-  if (cache_context.enabled() && !journaling) {
-    CacheLookupCounters campaign_lookups;
-    CountCacheLookup(options_, kCacheNsCampaign, campaign_warm, campaign_lookups);
-  }
-  if (campaign_warm) {
-    ScopedSpan span(options_.tracer, "phase.campaign");
-    span.AddArg("runs", static_cast<int64_t>(specs.size()));
-    span.AddArg("jobs", static_cast<int64_t>(result.jobs_used));
-    span.AddArg("warm", static_cast<int64_t>(1));
-    for (size_t i = 0; i < specs.size(); ++i) {
-      const CachedRunVerdict& verdict = cached_campaign.runs[i];
-      const RetryLocation& location = result.locations[specs[i].location_index];
-      if (verdict.completed) {
-        for (const CachedRunVerdict::Report& report : verdict.reports) {
-          OracleReport replay;
-          replay.kind = static_cast<OracleKind>(report.kind);
-          replay.test = specs[i].test.qualified_name;
-          replay.location = location;
-          replay.detail = report.detail;
-          replay.group_key = report.group_key;
-          replay.probed = report.probed;
-          replay.stability = static_cast<VerdictStability>(report.stability);
-          replay.flaky_cause = report.flaky_cause;
-          all_reports.push_back(std::move(replay));
-        }
-      } else {
-        RunFailure failure;
-        failure.run_id = specs[i].id;
-        failure.test = specs[i].test.qualified_name;
-        failure.location = location.Key();
-        failure.kind = verdict.failure_kind;
-        failure.detail = verdict.failure_detail;
-        failure.attempts = verdict.failure_attempts;
-        failure.chaos = verdict.failure_chaos;
-        result.quarantined.push_back(std::move(failure));
-      }
-    }
-    result.robustness.MergeFrom(cached_campaign.stats);
-  } else {
+  if (!warm) {
+    std::vector<CampaignRunResult> campaign;
     {
       ScopedSpan span(options_.tracer, "phase.campaign");
       span.AddArg("runs", static_cast<int64_t>(specs.size()));
@@ -829,18 +602,6 @@ DynamicResult Wasabi::RunDynamicWorkflow() {
           ExecuteCampaignRobust(runner, result.locations, specs, pool, options_.robust,
                                 campaign_obs);
       campaign = std::move(campaign_outcome.results);
-      if (cache_context.enabled()) {
-        cached_campaign.runs.assign(specs.size(), CachedRunVerdict{});
-        for (const RunFailure& failure : campaign_outcome.quarantined) {
-          CachedRunVerdict& verdict = cached_campaign.runs[failure.run_id];
-          verdict.completed = false;
-          verdict.failure_kind = failure.kind;
-          verdict.failure_detail = failure.detail;
-          verdict.failure_attempts = failure.attempts;
-          verdict.failure_chaos = failure.chaos;
-        }
-        cached_campaign.stats = campaign_outcome.robustness;
-      }
       result.quarantined.insert(result.quarantined.end(),
                                 campaign_outcome.quarantined.begin(),
                                 campaign_outcome.quarantined.end());
@@ -978,20 +739,15 @@ DynamicResult Wasabi::RunDynamicWorkflow() {
       }
     }
 
-    // Assemble: cache entries (classification included) and the flat,
-    // id-ordered report list.
-    for (size_t i = 0; i < specs.size(); ++i) {
-      if (cache_context.enabled()) {
-        for (const OracleReport& report : run_reports[i]) {
-          cached_campaign.runs[i].reports.push_back(CachedRunVerdict::Report{
-              static_cast<int>(report.kind), report.detail, report.group_key, report.probed,
-              static_cast<int>(report.stability), report.flaky_cause});
-        }
-      }
-      all_reports.insert(all_reports.end(), std::make_move_iterator(run_reports[i].begin()),
-                         std::make_move_iterator(run_reports[i].end()));
+    // Assemble the flat, id-ordered report list, then memoize the workflow.
+    for (std::vector<OracleReport>& reports : run_reports) {
+      result.raw_reports.insert(result.raw_reports.end(),
+                                std::make_move_iterator(reports.begin()),
+                                std::make_move_iterator(reports.end()));
     }
-    StoreCampaign(cache_context, specs, result.locations, cached_campaign);
+    if (options_.cache != nullptr) {
+      options_.cache->Put(kCacheNsDynamic, cache_key, EncodeDynamicEntry(result));
+    }
   }
   result.degraded = !result.quarantined.empty();
 
@@ -999,7 +755,7 @@ DynamicResult Wasabi::RunDynamicWorkflow() {
 
   if (options_.metrics != nullptr) {
     options_.metrics->Increment("oracles.reports_total",
-                                static_cast<int64_t>(all_reports.size()));
+                                static_cast<int64_t>(result.raw_reports.size()));
     ExportPoolMetrics(*options_.metrics, pool, result.jobs_used,
                       result.coverage_seconds + result.injection_seconds);
   }
@@ -1013,8 +769,7 @@ DynamicResult Wasabi::RunDynamicWorkflow() {
                      options_.tracer);
   }
 
-  result.raw_reports = all_reports;
-  result.bugs = DeduplicateBugs(ToBugReports(DeduplicateReports(std::move(all_reports))));
+  result.bugs = DeduplicateBugs(ToBugReports(DeduplicateReports(result.raw_reports)));
   return result;
 }
 

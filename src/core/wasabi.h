@@ -68,28 +68,31 @@ struct WasabiOptions {
   ProgressMeter* progress = nullptr;
   // Retry-behavior journal (docs/OBSERVABILITY.md "Retry analytics"),
   // non-owning and default-off. With a journal attached the dynamic workflow
-  // records every campaign/coverage/probe/cache retry event, forces a cold
-  // campaign (a warm replay executes nothing journal-worthy), and exports
-  // derived retry.* analytics into `metrics`/`tracer`; stdout and every
-  // report byte stay identical either way.
+  // records every campaign/coverage/probe/cache retry event, never reads its
+  // cache entry (a restored run executes nothing journal-worthy) though it
+  // still writes it, and exports derived retry.* analytics into
+  // `metrics`/`tracer`; stdout and every report byte stay identical either
+  // way.
   RetryJournal* journal = nullptr;
   // Optional result cache (docs/CACHING.md), non-owning and default-off. With
-  // a store attached, per-file SimLLM results, per-test coverage runs, and
-  // whole-campaign verdicts are memoized under content-digest keys; every
-  // report stays byte-identical to a cache-off run. Without one, no code path
-  // changes at all.
+  // a store attached, per-file SimLLM results and each whole dynamic workflow
+  // (coverage, quarantines, resilience counters, classified reports, prober
+  // counters) are memoized under content-digest keys; every report stays
+  // byte-identical to a cache-off run. Without one, no code path changes at
+  // all.
   CacheStore* cache = nullptr;
   // N-repetition flakiness prober (docs/FLAKINESS.md), default-off. With
   // repetitions > 0, every failing campaign verdict is re-executed under
   // virtual-clock perturbation and classified {stable, flaky, chaos-induced};
-  // the classification rides on reports (probed == true) and is cached with
-  // the campaign verdicts. SimLLM judges a root cause for non-stable classes.
+  // the classification rides on reports (probed == true) and, with the five
+  // prober counters, in the dynamic workflow's cache entry. SimLLM judges a
+  // root cause for non-stable classes.
   ProberOptions prober;
   // Record mode (docs/FLAKINESS.md): when non-empty, the dynamic workflow
   // journals the campaign (into `journal`, or a private journal when that is
-  // null, so the campaign runs cold) and writes every run's slice of it plus
-  // its verdict into this directory: one checksummed run-<id>.rec per run
-  // plus MANIFEST.tsv. Recording never changes any report or journal byte.
+  // null, so the cache entry is never read) and writes every run's slice of
+  // it plus its verdict into this directory: one checksummed run-<id>.rec per
+  // run plus MANIFEST.tsv. Recording never changes any report or journal byte.
   std::string record_dir;
 };
 
@@ -122,8 +125,7 @@ struct DynamicResult {
   RobustnessStats robustness;
   bool degraded = false;
   // Flakiness-prober summary (docs/FLAKINESS.md). All zero when the prober is
-  // off or restored from a warm campaign (the cached classifications already
-  // carry the cold run's counts on the reports themselves).
+  // off; a warm cache restores the cold run's counts.
   size_t probed_runs = 0;
   size_t stable_runs = 0;
   size_t flaky_runs = 0;

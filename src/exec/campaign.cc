@@ -383,11 +383,21 @@ CampaignOutcome ExecuteCampaignRobust(const TestRunner& runner,
   return outcome;
 }
 
-std::vector<CoverageRunOutcome> ExecuteCoverageRuns(
-    const TestRunner& runner, const std::vector<TestCase>& tests,
-    const std::vector<RetryLocation>& locations, TaskPool& pool,
-    const RobustnessOptions& options, const CampaignObs& obs,
-    const std::vector<size_t>& original_indices) {
+CoverageOutcome MapCoverageRobust(const TestRunner& runner, const std::vector<TestCase>& tests,
+                                  const std::vector<RetryLocation>& locations, TaskPool& pool,
+                                  const RobustnessOptions& options, const CampaignObs& obs) {
+  // Everything one test's coverage run produced, including its slice of the
+  // resilience counters (sums over tests reproduce RobustnessStats).
+  struct CoverageRunOutcome {
+    std::vector<size_t> hits;  // Location indices; empty when quarantined.
+    int attempts = 0;
+    int64_t retries = 0;
+    bool recovered = false;
+    int64_t chaos_faults = 0;
+    int64_t backoff_virtual_ms = 0;
+    bool quarantined = false;
+    RunFailure failure;  // Kind, detail, and chaos flag when quarantined.
+  };
   std::vector<CoverageRunOutcome> per_test(tests.size());
 
   std::vector<size_t> wave(tests.size());
@@ -404,7 +414,7 @@ std::vector<CoverageRunOutcome> ExecuteCoverageRuns(
           if (attempt > 1) {
             span.AddArg("attempt", static_cast<int64_t>(attempt));
           }
-          ChaosMaybeFault(options.chaos, CoverageChaosIdentity(original_indices[i]), attempt);
+          ChaosMaybeFault(options.chaos, CoverageChaosIdentity(i), attempt);
           CoverageRecorder recorder(&locations);
           runner.RunTest(tests[i], {&recorder});
           per_test[i].hits = recorder.hits();
@@ -430,24 +440,19 @@ std::vector<CoverageRunOutcome> ExecuteCoverageRuns(
       if (options.retry.ShouldRetry(out.attempts + 1)) {
         ++out.retries;
         out.backoff_virtual_ms +=
-            options.retry.BackoffMs(CoverageChaosIdentity(original_indices[i]), out.attempts + 1);
+            options.retry.BackoffMs(CoverageChaosIdentity(i), out.attempts + 1);
         next_wave.push_back(i);
       } else {
         out.quarantined = true;
-        out.failure_kind = failure.kind;
-        out.failure_detail = std::move(failure.detail);
-        out.failure_chaos = failure.chaos;
+        out.failure = std::move(failure);
         out.hits.clear();  // A quarantined test covers nothing.
       }
     }
     wave = std::move(next_wave);
   }
-  return per_test;
-}
 
-CoverageOutcome ReduceCoverageOutcomes(const std::vector<TestCase>& tests,
-                                       std::vector<CoverageRunOutcome> per_test,
-                                       const CampaignObs& obs) {
+  // Serial reduce in discovery order: quarantine records, summed stats, the
+  // journal's coverage stream, and the cumulative-coverage series.
   CoverageOutcome outcome;
   RobustnessStats& stats = outcome.robustness;
   for (size_t i = 0; i < tests.size(); ++i) {
@@ -456,9 +461,8 @@ CoverageOutcome ReduceCoverageOutcomes(const std::vector<TestCase>& tests,
     stats.chaos_faults += out.chaos_faults;
     stats.backoff_virtual_ms += out.backoff_virtual_ms;
     if (obs.journal != nullptr) {
-      // Coverage journal entries are derived here, serially, from the
-      // per-test outcome aggregates — the same structs a warm cache restores
-      // — so the stream is identical for cold, warm, and any worker count.
+      // Derived serially from the per-test totals, so the stream does not
+      // depend on which worker ran which attempt.
       JournalRun jr;
       jr.Begin(obs.journal, JournalStream::kCoverage, static_cast<uint64_t>(i),
                tests[i].qualified_name, "<coverage>", 0);
@@ -469,20 +473,17 @@ CoverageOutcome ReduceCoverageOutcomes(const std::vector<TestCase>& tests,
         jr.BackoffWait(out.attempts, out.backoff_virtual_ms);
       }
       if (out.quarantined) {
-        jr.Quarantine(RunFailureKindName(out.failure_kind), out.failure_detail);
+        jr.Quarantine(RunFailureKindName(out.failure.kind), out.failure.detail);
       } else {
         jr.AttemptEnd(out.attempts, out.recovered ? "recovered" : "passed", 0);
       }
     }
     if (out.quarantined) {
-      RunFailure failure;
+      RunFailure failure = out.failure;
       failure.run_id = static_cast<uint64_t>(i);
       failure.test = tests[i].qualified_name;
       failure.location = "<coverage>";
-      failure.kind = out.failure_kind;
-      failure.detail = out.failure_detail;
       failure.attempts = out.attempts;
-      failure.chaos = out.failure_chaos;
       outcome.quarantined.push_back(std::move(failure));
       ++stats.quarantined;
     } else if (out.recovered) {
@@ -512,17 +513,6 @@ CoverageOutcome ReduceCoverageOutcomes(const std::vector<TestCase>& tests,
   }
   ExportRobustMetrics(obs, stats);
   return outcome;
-}
-
-CoverageOutcome MapCoverageRobust(const TestRunner& runner, const std::vector<TestCase>& tests,
-                                  const std::vector<RetryLocation>& locations, TaskPool& pool,
-                                  const RobustnessOptions& options, const CampaignObs& obs) {
-  std::vector<size_t> identity(tests.size());
-  for (size_t i = 0; i < tests.size(); ++i) {
-    identity[i] = i;
-  }
-  return ReduceCoverageOutcomes(
-      tests, ExecuteCoverageRuns(runner, tests, locations, pool, options, obs, identity), obs);
 }
 
 }  // namespace wasabi

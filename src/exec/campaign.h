@@ -120,9 +120,11 @@ CampaignOutcome ExecuteCampaignRobust(const TestRunner& runner,
 
 // Fault-contained coverage discovery: a test whose coverage run keeps failing
 // at the host level is quarantined (location "<coverage>") and simply covers
-// nothing, instead of killing the whole pass. Chaos identities for coverage
-// runs are tagged with the top bit so they never collide with campaign run
-// ids under one seed.
+// nothing, instead of killing the whole pass. A coverage run's chaos identity
+// and backoff stream derive from its test's index, tagged with the top bit so
+// they never collide with campaign run ids under one seed. With a journal in
+// `obs`, each test's coverage events are derived at reduce time from its
+// per-test totals, serially, so the stream is identical at any worker count.
 struct CoverageOutcome {
   CoverageMap coverage;
   std::vector<RunFailure> quarantined;  // run_id = test index in `tests`.
@@ -132,46 +134,6 @@ struct CoverageOutcome {
 CoverageOutcome MapCoverageRobust(const TestRunner& runner, const std::vector<TestCase>& tests,
                                   const std::vector<RetryLocation>& locations, TaskPool& pool,
                                   const RobustnessOptions& options, const CampaignObs& obs = {});
-
-// --- Coverage execute/reduce split (docs/CACHING.md) ------------------------
-//
-// The robust coverage pass factors into a wave executor and a deterministic
-// reduce so the incremental cache (src/exec/campaign_cache.h) can execute
-// only the tests whose entries are missing and still reduce the merged
-// per-test outcomes exactly like a cache-off run. MapCoverageRobust is the
-// composition of the two over the full test list.
-
-// Everything one test's coverage run produced, including the per-test slice
-// of the resilience counters (sums over tests reproduce RobustnessStats).
-struct CoverageRunOutcome {
-  std::vector<size_t> hits;  // Location indices; empty when quarantined.
-  int attempts = 0;
-  int64_t retries = 0;
-  bool recovered = false;
-  int64_t chaos_faults = 0;
-  int64_t backoff_virtual_ms = 0;
-  bool quarantined = false;
-  RunFailureKind failure_kind = RunFailureKind::kHostException;
-  std::string failure_detail;
-  bool failure_chaos = false;
-};
-
-// Runs the wave loop over `tests`. `original_indices` (parallel to `tests`)
-// carries each test's index in the FULL discovery list: chaos identities,
-// backoff streams, and quarantine run ids derive from it, so executing a
-// subset behaves byte-identically to its slice of a full pass.
-std::vector<CoverageRunOutcome> ExecuteCoverageRuns(
-    const TestRunner& runner, const std::vector<TestCase>& tests,
-    const std::vector<RetryLocation>& locations, TaskPool& pool,
-    const RobustnessOptions& options, const CampaignObs& obs,
-    const std::vector<size_t>& original_indices);
-
-// Serial reduce over the full, discovery-ordered outcome list: coverage map,
-// id-ordered quarantine records, summed stats, and the reduce-time metric
-// surface (cumulative-coverage series, run counters).
-CoverageOutcome ReduceCoverageOutcomes(const std::vector<TestCase>& tests,
-                                       std::vector<CoverageRunOutcome> per_test,
-                                       const CampaignObs& obs);
 
 }  // namespace wasabi
 

@@ -1,11 +1,11 @@
 #include "src/record/recorder.h"
 
-#include <charconv>
 #include <climits>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 
+#include "src/lang/decimal.h"
 #include "src/lang/digest.h"
 
 namespace wasabi {
@@ -28,18 +28,6 @@ std::vector<std::string_view> SplitTabs(std::string_view line) {
     fields.push_back(line.substr(start, tab - start));
     start = tab + 1;
   }
-}
-
-// A whole-field decimal integer within [min, max]: no sign but '-', no
-// whitespace, no saturation on overflow.
-bool ParseInt(std::string_view text, int64_t min, int64_t max, int64_t* out) {
-  int64_t value = 0;
-  auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), value);
-  if (ec != std::errc() || end != text.data() + text.size() || value < min || value > max) {
-    return false;
-  }
-  *out = value;
-  return true;
 }
 
 // One `name\tvalue` header line; fails with a positional diagnostic so a
@@ -67,7 +55,7 @@ bool ReadIntHeader(const std::vector<std::string_view>& lines, size_t index,
   if (!ReadHeader(lines, index, name, &value, error)) {
     return false;
   }
-  if (!ParseInt(value, min, max, out)) {
+  if (!mj::ParseDecimal<int64_t>(value, min, max, out)) {
     *error = "bad '" + std::string(name) + "' header value '" + std::string(value) + "'";
     return false;
   }
@@ -281,8 +269,8 @@ bool ParseRecordManifest(std::string_view text, RecordManifest* out, std::string
     RecordManifest::Entry entry;
     int64_t k = 0;
     if (fields.size() != 5 || fields[0] != "run" ||
-        !ParseInt(fields[1], 0, INT64_MAX, &entry.run_id) ||
-        !ParseInt(fields[4], INT_MIN, INT_MAX, &k)) {
+        !mj::ParseDecimal<int64_t>(fields[1], 0, INT64_MAX, &entry.run_id) ||
+        !mj::ParseDecimal<int64_t>(fields[4], INT_MIN, INT_MAX, &k)) {
       *error = "bad manifest run line " + std::to_string(i + 2);
       return false;
     }

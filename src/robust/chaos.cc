@@ -1,6 +1,9 @@
 #include "src/robust/chaos.h"
 
+#include <cstdint>
 #include <cstdlib>
+
+#include "src/lang/decimal.h"
 
 namespace wasabi {
 
@@ -106,9 +109,8 @@ bool ParseChaosSpec(const std::string& spec, ChaosConfig* config, std::string* e
     rate_text = rate_text.substr(0, second);
     has_env = true;
   }
-  char* end = nullptr;
-  unsigned long long seed = std::strtoull(seed_text.c_str(), &end, 10);
-  if (end == seed_text.c_str() || *end != '\0') {
+  uint64_t seed = 0;
+  if (!mj::ParseDecimal(seed_text, uint64_t{0}, UINT64_MAX, &seed)) {
     if (error != nullptr) {
       *error = "seed must be a non-negative integer";
     }
@@ -129,7 +131,7 @@ bool ParseChaosSpec(const std::string& spec, ChaosConfig* config, std::string* e
     return false;
   }
   config->enabled = true;
-  config->seed = static_cast<uint64_t>(seed);
+  config->seed = seed;
   config->rate = rate;
   config->env_rate = env_rate;
   return true;

@@ -9,13 +9,15 @@
 //
 // Invalidation granularity is also pinned here: mutating one non-test source
 // file must recompute exactly that file's per-file SimLLM entries (q1/when
-// namespaces) while every other file replays, and must invalidate the
-// program-digest-keyed namespaces (cov/camp) wholesale.
+// namespaces) while every other file replays, and must miss the dynamic
+// workflow's one program-digest-keyed entry (camp) exactly once. The store's
+// shape is pinned too: per-file entries plus one entry per dynamic workflow.
 
 #include <unistd.h>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -180,7 +182,6 @@ TEST_F(CachePropertyTest, WarmRunIsByteIdenticalAndSkipsEveryNamespace) {
     EXPECT_GT(store->stats().puts, 0);
   }
   EXPECT_GT(cold_metrics.CounterValue("cache.misses.q1"), 0);
-  EXPECT_GT(cold_metrics.CounterValue("cache.misses.cov"), 0);
   EXPECT_EQ(cold_metrics.CounterValue("cache.misses.camp"), 1);
   EXPECT_GT(cold_metrics.CounterValue("cache.misses.when"), 0);
 
@@ -197,13 +198,10 @@ TEST_F(CachePropertyTest, WarmRunIsByteIdenticalAndSkipsEveryNamespace) {
   EXPECT_EQ(StaticFingerprint(warm.RunStaticWorkflow()), base_static);
 
   EXPECT_EQ(warm_metrics.CounterValue("cache.misses.q1"), 0);
-  EXPECT_EQ(warm_metrics.CounterValue("cache.misses.cov"), 0);
   EXPECT_EQ(warm_metrics.CounterValue("cache.misses.camp"), 0);
   EXPECT_EQ(warm_metrics.CounterValue("cache.misses.when"), 0);
   EXPECT_EQ(warm_metrics.CounterValue("cache.hits.q1"),
             cold_metrics.CounterValue("cache.misses.q1"));
-  EXPECT_EQ(warm_metrics.CounterValue("cache.hits.cov"),
-            cold_metrics.CounterValue("cache.misses.cov"));
   EXPECT_EQ(warm_metrics.CounterValue("cache.hits.camp"), 1);
   EXPECT_EQ(warm_metrics.CounterValue("cache.hits.when"),
             cold_metrics.CounterValue("cache.misses.when"));
@@ -253,14 +251,58 @@ TEST_F(CachePropertyTest, SingleFileMutationRecomputesOnlyDigestDependents) {
   EXPECT_EQ(warm_metrics.CounterValue("cache.hits.when"),
             cold_metrics.CounterValue("cache.misses.when") - 1);
 
-  // Program-digest namespaces: invalidated wholesale (a mutated file moves
+  // The dynamic workflow's entry misses exactly once (a mutated file moves
   // the program digest, and run verdicts are only sound for the exact
   // program they were produced by).
-  EXPECT_EQ(warm_metrics.CounterValue("cache.hits.cov"), 0);
-  EXPECT_EQ(warm_metrics.CounterValue("cache.misses.cov"),
-            static_cast<int64_t>(dynamic.total_tests));
   EXPECT_EQ(warm_metrics.CounterValue("cache.hits.camp"), 0);
   EXPECT_EQ(warm_metrics.CounterValue("cache.misses.camp"), 1);
+  EXPECT_GT(dynamic.planned_runs, 0u);
+}
+
+// After `test` and `static`, the store holds one q1 and one when entry per
+// non-test file and a single camp entry for the whole dynamic workflow.
+TEST_F(CachePropertyTest, StoreHoldsPerFileEntriesAndOneDynamicEntry) {
+  CorpusApp app = BuildCorpusApp("hbase");
+  {
+    std::unique_ptr<CacheStore> store = OpenStore();
+    Wasabi cold(app.program, *app.index, OptionsFor(app));
+    cold.set_cache(store.get());
+    cold.RunDynamicWorkflow();
+    cold.RunStaticWorkflow();
+    std::string error;
+    ASSERT_TRUE(store->Flush(&error)) << error;
+  }
+  int64_t source_files = 0;
+  for (const auto& unit : app.program.units()) {
+    source_files += IsTestUnit(unit->file().name()) ? 0 : 1;
+  }
+
+  // entries.tsv holds one `<checksum>\t<namespace>\t<key>\t<value>` line per
+  // record; count them by namespace.
+  std::ifstream in(dir_ + "/entries.tsv", std::ios::binary);
+  std::map<std::string, int64_t> by_namespace;
+  int64_t bytes = 0;
+  for (std::string line; std::getline(in, line);) {
+    bytes += static_cast<int64_t>(line.size()) + 1;
+    const size_t first = line.find('\t');
+    ASSERT_NE(first, std::string::npos) << line;
+    ++by_namespace[line.substr(first + 1, line.find('\t', first + 1) - first - 1)];
+  }
+  const std::map<std::string, int64_t> expected = {
+      {"camp", 1}, {"q1", source_files}, {"when", source_files}};
+  EXPECT_EQ(by_namespace, expected);
+  EXPECT_GT(source_files, 0);
+  ::testing::Test::RecordProperty("store_bytes", static_cast<int>(bytes));
+
+  // A warm re-run reads that entry once and writes nothing.
+  std::unique_ptr<CacheStore> store = OpenStore();
+  Wasabi warm(app.program, *app.index, OptionsFor(app));
+  warm.set_cache(store.get());
+  warm.RunDynamicWorkflow();
+  warm.RunStaticWorkflow();
+  EXPECT_EQ(store->stats().hits_by_namespace["camp"], 1);
+  EXPECT_EQ(store->stats().misses, 0);
+  EXPECT_EQ(store->stats().puts, 0);
 }
 
 TEST_F(CachePropertyTest, PoisonedEntriesFallBackColdWithoutWrongReports) {

@@ -97,23 +97,23 @@ TEST_F(CacheStoreTest, GetPutAndStatsAccounting) {
 TEST_F(CacheStoreTest, FlushPersistsAcrossSessionsAndLastWriteWins) {
   {
     std::unique_ptr<CacheStore> store = Open();
-    store->Put("run", "key1", "first");
-    store->Put("cov", "key with\ttab", "value with\nnewline");
+    store->Put("q1", "key1", "first");
+    store->Put("camp", "key with\ttab", "value with\nnewline");
     std::string error;
     ASSERT_TRUE(store->Flush(&error)) << error;
   }
   {
     std::unique_ptr<CacheStore> store = Open();
     EXPECT_EQ(store->stats().loaded_entries, 2);
-    EXPECT_EQ(store->Get("run", "key1").value_or(""), "first");
-    EXPECT_EQ(store->Get("cov", "key with\ttab").value_or(""), "value with\nnewline");
+    EXPECT_EQ(store->Get("q1", "key1").value_or(""), "first");
+    EXPECT_EQ(store->Get("camp", "key with\ttab").value_or(""), "value with\nnewline");
     // Overwrite in a second session: Flush appends, reload takes the latest.
-    store->Put("run", "key1", "second");
+    store->Put("q1", "key1", "second");
     std::string error;
     ASSERT_TRUE(store->Flush(&error)) << error;
   }
   std::unique_ptr<CacheStore> store = Open();
-  EXPECT_EQ(store->Get("run", "key1").value_or(""), "second");
+  EXPECT_EQ(store->Get("q1", "key1").value_or(""), "second");
   EXPECT_EQ(store->stats().corrupt_entries, 0);
   EXPECT_EQ(store->stats().version_mismatches, 0);
 }
@@ -121,7 +121,7 @@ TEST_F(CacheStoreTest, FlushPersistsAcrossSessionsAndLastWriteWins) {
 TEST_F(CacheStoreTest, VersionMismatchDiscardsStoreAndRewrites) {
   {
     std::unique_ptr<CacheStore> store = Open();
-    store->Put("run", "old", "stale");
+    store->Put("q1", "old", "stale");
     std::string error;
     ASSERT_TRUE(store->Flush(&error)) << error;
   }
@@ -132,18 +132,18 @@ TEST_F(CacheStoreTest, VersionMismatchDiscardsStoreAndRewrites) {
   {
     std::unique_ptr<CacheStore> store = Open();
     // Stale-schema entries must never be served.
-    EXPECT_FALSE(store->Get("run", "old").has_value());
+    EXPECT_FALSE(store->Get("q1", "old").has_value());
     EXPECT_EQ(store->stats().version_mismatches, 1);
     EXPECT_EQ(store->stats().loaded_entries, 0);
-    store->Put("run", "fresh", "value");
+    store->Put("q1", "fresh", "value");
     std::string error;
     ASSERT_TRUE(store->Flush(&error)) << error;
   }
   // The rewrite restored the current schema: reload is clean.
   std::unique_ptr<CacheStore> store = Open();
   EXPECT_EQ(store->stats().version_mismatches, 0);
-  EXPECT_FALSE(store->Get("run", "old").has_value());
-  EXPECT_EQ(store->Get("run", "fresh").value_or(""), "value");
+  EXPECT_FALSE(store->Get("q1", "old").has_value());
+  EXPECT_EQ(store->Get("q1", "fresh").value_or(""), "value");
   std::ifstream version(dir_ + "/VERSION");
   std::string tag;
   std::getline(version, tag);

@@ -6,18 +6,27 @@
 // record or manifest is always rejected with a diagnostic (every byte is
 // under the checksum), a mutated journal either parses or fails with a
 // diagnostic, and nothing crashes or reads out of bounds.
+//
+// The dynamic workflow's cache entry ("camp", src/core/cache_codec.h) takes
+// the same 10,000 mutations: nothing crashes, and every mutant that still
+// decodes holds only in-range enums and listed locations. Its codec must also
+// round-trip: encode, decode, encode is byte-stable on every corpus app and
+// lab.
 
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <iostream>
 #include <random>
+#include <unordered_set>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/core/cache_codec.h"
 #include "src/core/wasabi.h"
 #include "src/corpus/corpus.h"
 #include "src/obs/journal.h"
@@ -126,6 +135,113 @@ TEST(CodecFuzzTest, MutatedRecordsManifestsAndJournalsNeverCrash) {
               return RetryJournal::ParseJson(text, &events, &parsed_app, diagnostic);
             });
   fs::remove_all(dir);
+}
+
+// The range checks DecodeDynamicEntry promises for everything it accepts.
+void ExpectDecodedWithinRange(const DynamicResult& decoded, int case_index) {
+  std::unordered_set<std::string> keys;
+  for (const RetryLocation& location : decoded.locations) {
+    keys.insert(location.Key());
+  }
+  for (const auto& [test, hits] : decoded.coverage) {
+    EXPECT_FALSE(hits.empty()) << "case " << case_index << " " << test;
+    for (size_t hit : hits) {
+      EXPECT_LT(hit, decoded.locations.size()) << "case " << case_index;
+    }
+  }
+  for (const RunFailure& failure : decoded.quarantined) {
+    EXPECT_LE(static_cast<int>(failure.kind), static_cast<int>(RunFailureKind::kChaos))
+        << "case " << case_index;
+    EXPECT_GE(failure.attempts, 0) << "case " << case_index;
+  }
+  for (const OracleReport& report : decoded.raw_reports) {
+    EXPECT_LE(static_cast<int>(report.kind), static_cast<int>(OracleKind::kDifferentException))
+        << "case " << case_index;
+    EXPECT_LE(static_cast<int>(report.stability),
+              static_cast<int>(VerdictStability::kChaosInduced))
+        << "case " << case_index;
+    EXPECT_EQ(keys.count(report.location.Key()), 1u) << "case " << case_index;
+  }
+  const RobustnessStats& stats = decoded.robustness;
+  for (int64_t counter : {stats.retries, stats.recovered, stats.quarantined, stats.chaos_faults,
+                          stats.breaker_open, stats.fail_fast_skipped,
+                          stats.backoff_virtual_ms}) {
+    EXPECT_GE(counter, 0) << "case " << case_index;
+  }
+}
+
+// Decodes `entry` against `locations` into a fresh result.
+bool DecodeAgainst(const std::string& entry, const std::vector<RetryLocation>& locations,
+                   DynamicResult* decoded) {
+  decoded->locations = locations;
+  return DecodeDynamicEntry(entry, decoded);
+}
+
+TEST(CodecFuzzTest, MutatedDynamicEntriesNeverCrashAndDecodeOnlyInRange) {
+  // `--repetitions 2 --chaos 7:0.2:0.5` on flakylab, with host retries off
+  // so that chaos-faulted runs are quarantined: the entry then carries
+  // coverage, reports with prober fields, quarantines, and open circuits.
+  CorpusApp app = BuildCorpusApp("flakylab");
+  WasabiOptions options;
+  options.app_name = app.name;
+  options.default_configs = app.default_configs;
+  options.prober.repetitions = 2;
+  options.robust.chaos.enabled = true;
+  options.robust.chaos.seed = 7;
+  options.robust.chaos.rate = 0.2;
+  options.robust.chaos.env_rate = 0.5;
+  options.robust.retry.max_attempts = 1;
+  Wasabi wasabi(app.program, *app.index, options);
+  const DynamicResult result = wasabi.RunDynamicWorkflow();
+  ASSERT_FALSE(result.coverage.empty());
+  ASSERT_FALSE(result.quarantined.empty());
+  ASSERT_GT(result.probed_runs, 0u);
+  ASSERT_FALSE(result.raw_reports.empty());
+  const std::string entry = EncodeDynamicEntry(result);
+
+  DynamicResult decoded;
+  ASSERT_TRUE(DecodeAgainst(entry, result.locations, &decoded));
+  EXPECT_EQ(EncodeDynamicEntry(decoded), entry);
+
+  std::mt19937_64 rng(4);
+  int accepted = 0;
+  for (int i = 0; i < kCasesPerInput; ++i) {
+    const std::string mutated = Mutate(entry, i, rng);
+    DynamicResult mutant;
+    if (!DecodeAgainst(mutated, result.locations, &mutant)) {
+      EXPECT_TRUE(mutant.raw_reports.empty() && mutant.coverage.empty())
+          << "case " << i << " failed but changed the result";
+      continue;
+    }
+    ++accepted;
+    ExpectDecodedWithinRange(mutant, i);
+    // What decodes re-encodes to an entry that decodes again.
+    DynamicResult again;
+    EXPECT_TRUE(DecodeAgainst(EncodeDynamicEntry(mutant), result.locations, &again))
+        << "case " << i;
+  }
+  ::testing::Test::RecordProperty("dynamic_entry_accepted", accepted);
+  std::cout << "dynamic entry: " << accepted << " of " << kCasesPerInput
+            << " mutants decode\n";
+}
+
+TEST(CodecFuzzTest, DynamicEntryRoundTripsOnEveryAppAndLab) {
+  std::vector<std::string> names = CorpusAppNames();
+  names.insert(names.end(), {"flakylab", "stormlab", "repairlab"});
+  for (const std::string& name : names) {
+    CorpusApp app = BuildCorpusApp(name);
+    WasabiOptions options;
+    options.app_name = app.name;
+    options.default_configs = app.default_configs;
+    Wasabi wasabi(app.program, *app.index, options);
+    const DynamicResult result = wasabi.RunDynamicWorkflow();
+    const std::string entry = EncodeDynamicEntry(result);
+    DynamicResult decoded;
+    ASSERT_TRUE(DecodeAgainst(entry, result.locations, &decoded)) << name;
+    EXPECT_EQ(EncodeDynamicEntry(decoded), entry) << name;
+    EXPECT_EQ(decoded.coverage, result.coverage) << name;
+    EXPECT_EQ(decoded.raw_reports.size(), result.raw_reports.size()) << name;
+  }
 }
 
 }  // namespace

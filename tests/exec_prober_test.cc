@@ -161,12 +161,17 @@ TEST(ProberDeterminismTest, WarmCacheReproducesColdClassification) {
   warm.set_cache(store.get());
   DynamicResult warm_result = warm.RunDynamicWorkflow();
 
+  // The warm run re-probes nothing: it restores the cold run's reports and
+  // all five prober counters from the one workflow entry.
+  EXPECT_EQ(store->stats().hits_by_namespace["camp"], 1);
   EXPECT_EQ(ClassificationFingerprint(cold_result), off);
-  // A warm campaign restores the cached classifications on the reports
-  // themselves; the probe-counter summary is zero (nothing re-probed), so
-  // compare the report surface only.
-  EXPECT_EQ(warm_result.probed_runs, 0u);
-  EXPECT_EQ(BugReportsToJson(warm_result.bugs), BugReportsToJson(cold_result.bugs));
+  EXPECT_EQ(ClassificationFingerprint(warm_result), off);
+  EXPECT_GT(warm_result.probed_runs, 0u);
+  EXPECT_EQ(warm_result.probed_runs, cold_result.probed_runs);
+  EXPECT_EQ(warm_result.stable_runs, cold_result.stable_runs);
+  EXPECT_EQ(warm_result.flaky_runs, cold_result.flaky_runs);
+  EXPECT_EQ(warm_result.chaos_induced_runs, cold_result.chaos_induced_runs);
+  EXPECT_EQ(warm_result.probe_failures, cold_result.probe_failures);
   EXPECT_NE(off.find("\"stability\""), std::string::npos) << off;
 
   fs::remove_all(dir);

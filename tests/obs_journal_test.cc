@@ -2,9 +2,10 @@
 // docs/OBSERVABILITY.md "Retry journal"). The contracts: the collected
 // journal is byte-identical at any worker count (with and without host
 // chaos), journaling is output-neutral (bug reports byte-identical journal on
-// vs off, including against a warm result cache, which journaling forces
-// cold), the JSON export round-trips through the strict parser, and every
-// campaign location surfaces in the derived retry analytics.
+// vs off, including against a warm result cache, whose dynamic-workflow
+// entry a journaled run never reads), the JSON export round-trips through the
+// strict parser, and every campaign location surfaces in the derived retry
+// analytics.
 
 #include <cstdint>
 #include <filesystem>
@@ -98,9 +99,10 @@ TEST(JournalNeutralityTest, JournalingDoesNotChangeResults) {
 }
 
 TEST(JournalNeutralityTest, WarmCacheIsForcedColdAndStaysNeutral) {
-  // A warm campaign cache skips execution, which would leave the journal
-  // empty; journaling therefore forces a cold campaign. The results must
-  // still match the warm ones, and the journal must match an uncached run's.
+  // A warm dynamic-workflow entry skips execution, which would leave the
+  // journal empty; a journaled run therefore never reads it and runs cold
+  // (it still writes the entry). The results must still match the warm ones,
+  // and the journal must match an uncached run's.
   CorpusApp app = BuildCorpusApp("flakylab");
   WasabiOptions options = JournalOptionsFor(app);
 
@@ -118,9 +120,14 @@ TEST(JournalNeutralityTest, WarmCacheIsForcedColdAndStaysNeutral) {
   Wasabi journaled(app.program, *app.index, options);
   journaled.set_cache(store.get());
   journaled.set_observability(nullptr, nullptr, nullptr, &journal);
+  const CacheStats before = store->stats();
   DynamicResult journaled_result = journaled.RunDynamicWorkflow();
+  const CacheStats delta = DiffStats(before, store->stats());
 
   EXPECT_EQ(BugReportsToJson(journaled_result.bugs), BugReportsToJson(cold_result.bugs));
+  EXPECT_EQ(delta.hits_by_namespace.count("camp"), 0u);
+  EXPECT_EQ(delta.misses_by_namespace.count("camp"), 0u);
+  EXPECT_EQ(delta.puts, 1);  // The workflow entry, rewritten.
 
   // The cache stream legitimately differs (it records the lookups that only
   // happen when a cache is attached); every other stream must match an
@@ -142,6 +149,12 @@ TEST(JournalNeutralityTest, WarmCacheIsForcedColdAndStaysNeutral) {
   const std::string with_cache = journal.ToJson(app.name);
   EXPECT_NE(with_cache.find("\"attempt_end\""), std::string::npos);
   EXPECT_NE(with_cache.find("\"cache_hit\""), std::string::npos);
+  // Only the per-file identification lookups are journaled.
+  for (const JournalEvent& event : journal.Collect()) {
+    if (event.stream == JournalStream::kCache) {
+      EXPECT_EQ(event.detail, "q1");
+    }
+  }
   EXPECT_EQ(without_cache_stream(with_cache),
             without_cache_stream(JournalJsonAt(app, options, /*jobs=*/1)));
 

@@ -4,6 +4,7 @@
 // be a pure function of its inputs — no wall clock, no live RNG — because the
 // campaign executor's worker-count-independence proof rests on it.
 
+#include <cstdint>
 #include <functional>
 #include <stdexcept>
 #include <string>
@@ -391,11 +392,16 @@ TEST(ChaosSpecTest, ParsesValidSeedRatePairs) {
   ASSERT_TRUE(ParseChaosSpec("0:1", &config, &error)) << error;
   EXPECT_EQ(config.seed, 0u);
   EXPECT_DOUBLE_EQ(config.rate, 1.0);
+
+  ASSERT_TRUE(ParseChaosSpec("18446744073709551615:0.3", &config, &error)) << error;
+  EXPECT_EQ(config.seed, UINT64_MAX);
 }
 
 TEST(ChaosSpecTest, RejectsMalformedSpecs) {
+  // Seeds that strtoull would negate ("-1") or saturate (past 2^64 - 1).
   for (const char* bad : {"banana", "42", ":0.5", "42:", "x:0.5", "42:y",
-                          "42:1.5", "42:-0.1", "4 2:0.5"}) {
+                          "42:1.5", "42:-0.1", "4 2:0.5", "-1:0.3", "+1:0.3", " 1:0.3",
+                          "18446744073709551616:0.3", "99999999999999999999:0.3"}) {
     ChaosConfig config;
     std::string error;
     EXPECT_FALSE(ParseChaosSpec(bad, &config, &error)) << bad;

@@ -3,7 +3,8 @@
 # strict parser), checks the loader's load.* spans are in the trace, and
 # checks instrumentation leaves stdout byte-identical.
 # Also exercises the strict flag parser: unknown options (including the
-# retired --engine) and a valueless --jobs must exit 2 with the usage line.
+# retired --engine), a valueless --jobs and out-of-range integers must exit 2
+# with the usage line.
 file(REMOVE_RECURSE "${WORK_DIR}")
 file(MAKE_DIRECTORY "${WORK_DIR}")
 execute_process(COMMAND "${WASABI_CLI}" dump-corpus "${WORK_DIR}" RESULT_VARIABLE rc
@@ -68,8 +69,14 @@ if(NOT err STREQUAL "NOTFOUND" OR runs LESS_EQUAL 0)
   message(FATAL_ERROR "metrics missing campaign.runs_total (got '${runs}', err='${err}')")
 endif()
 
-# Flag-parser rejection paths: each must exit 2 and print usage.
-foreach(bad_args IN ITEMS "--trace-ot=x.json" "--jobs" "--json=1" "--engine=tree")
+# Flag-parser rejection paths: each must exit 2 and print usage. Integer
+# values outside their type's range must fail while parsing, before any pool
+# exists, instead of wrapping (--jobs=4294967297 once ran on 1 worker) or
+# saturating (the --chaos seed).
+foreach(bad_args IN ITEMS "--trace-ot=x.json" "--jobs" "--json=1" "--engine=tree"
+                          "--jobs=4294967297" "--jobs=2147483648" "--jobs=+2"
+                          "--repetitions=4294967297" "--scale=4294967296"
+                          "--chaos=-1:0.3" "--chaos=99999999999999999999:0.3")
   execute_process(COMMAND "${WASABI_CLI}" test "${app}" ${bad_args}
                   RESULT_VARIABLE rc ERROR_VARIABLE err OUTPUT_QUIET)
   if(NOT rc EQUAL 2)

@@ -62,8 +62,8 @@
 //                                     isolation and compare its journal events
 //                                     and verdict with the record (pass the
 //                                     same flags as the recording run)
-//   --cache-dir=DIR                   memoize per-file analysis, coverage, and
-//                                     campaign verdicts under DIR keyed by
+//   --cache-dir=DIR                   memoize per-file analysis and each whole
+//                                     dynamic workflow under DIR keyed by
 //                                     content digests (docs/CACHING.md);
 //                                     reports are byte-identical with the
 //                                     cache on, off, warm, or damaged
@@ -104,7 +104,8 @@
 // is used as the application name in reports.
 
 #include <algorithm>
-#include <cstdlib>
+#include <climits>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -117,6 +118,7 @@
 #include "src/core/report_json.h"
 #include "src/core/wasabi.h"
 #include "src/corpus/corpus.h"
+#include "src/lang/decimal.h"
 #include "src/lang/parser.h"
 #include "src/obs/journal.h"
 #include "src/obs/metrics.h"
@@ -210,6 +212,18 @@ bool ParseOptions(int argc, char** argv, int first, CliOptions* options) {
       std::cerr << "error: option " << flag << " requires a value\n";
       return false;
     };
+    // Takes the option's value as a whole-field decimal in [min, max]; a
+    // value outside the range (or the type) fails instead of wrapping.
+    auto take_int = [&]<typename T>(T* out, T min, T max, const char* expected) {
+      if (!take_value(name.c_str())) {
+        Usage();
+        return false;
+      }
+      if (!mj::ParseDecimal(value, min, max, out)) {
+        return fail("option " + name + " needs " + expected + ", got '" + value + "'");
+      }
+      return true;
+    };
     if (name == "--json" || name == "--progress" || name == "--fail-fast") {
       if (has_value) {
         return fail("option " + name + " does not take a value");
@@ -222,28 +236,14 @@ bool ParseOptions(int argc, char** argv, int first, CliOptions* options) {
         options->fail_fast = true;
       }
     } else if (name == "--jobs") {
-      if (!take_value("--jobs")) {
-        Usage();
+      if (!take_int(&options->jobs, 1, INT_MAX, "a positive integer")) {
         return false;
       }
-      char* end = nullptr;
-      long jobs = std::strtol(value.c_str(), &end, 10);
-      if (value.empty() || end == value.c_str() || *end != '\0' || jobs < 1) {
-        return fail("option --jobs needs a positive integer, got '" + value + "'");
-      }
-      options->jobs = static_cast<int>(jobs);
     } else if (name == "--max-quarantined") {
-      if (!take_value("--max-quarantined")) {
-        Usage();
+      if (!take_int(&options->max_quarantined, int64_t{0}, INT64_MAX,
+                    "a non-negative integer")) {
         return false;
       }
-      char* end = nullptr;
-      long long limit = std::strtoll(value.c_str(), &end, 10);
-      if (value.empty() || end == value.c_str() || *end != '\0' || limit < 0) {
-        return fail("option --max-quarantined needs a non-negative integer, got '" + value +
-                    "'");
-      }
-      options->max_quarantined = static_cast<int64_t>(limit);
     } else if (name == "--chaos") {
       if (!take_value("--chaos")) {
         Usage();
@@ -303,16 +303,9 @@ bool ParseOptions(int argc, char** argv, int first, CliOptions* options) {
       }
       options->cache_dir = value;
     } else if (name == "--repetitions") {
-      if (!take_value("--repetitions")) {
-        Usage();
+      if (!take_int(&options->repetitions, 1, INT_MAX, "a positive integer")) {
         return false;
       }
-      char* end = nullptr;
-      long repetitions = std::strtol(value.c_str(), &end, 10);
-      if (value.empty() || end == value.c_str() || *end != '\0' || repetitions < 1) {
-        return fail("option --repetitions needs a positive integer, got '" + value + "'");
-      }
-      options->repetitions = static_cast<int>(repetitions);
     } else if (name == "--record") {
       if (!take_value("--record")) {
         Usage();
@@ -323,27 +316,13 @@ bool ParseOptions(int argc, char** argv, int first, CliOptions* options) {
       }
       options->record_dir = value;
     } else if (name == "--replay") {
-      if (!take_value("--replay")) {
-        Usage();
+      if (!take_int(&options->replay_run_id, int64_t{0}, INT64_MAX, "a non-negative run id")) {
         return false;
       }
-      char* end = nullptr;
-      long long run_id = std::strtoll(value.c_str(), &end, 10);
-      if (value.empty() || end == value.c_str() || *end != '\0' || run_id < 0) {
-        return fail("option --replay needs a non-negative run id, got '" + value + "'");
-      }
-      options->replay_run_id = static_cast<int64_t>(run_id);
     } else if (name == "--scale") {
-      if (!take_value("--scale")) {
-        Usage();
+      if (!take_int(&options->scale, 1, INT_MAX, "a positive integer")) {
         return false;
       }
-      char* end = nullptr;
-      long scale = std::strtol(value.c_str(), &end, 10);
-      if (value.empty() || end == value.c_str() || *end != '\0' || scale < 1) {
-        return fail("option --scale needs a positive integer, got '" + value + "'");
-      }
-      options->scale = static_cast<int>(scale);
     } else if (name == "--app") {
       if (!take_value("--app")) {
         Usage();
@@ -359,56 +338,35 @@ bool ParseOptions(int argc, char** argv, int first, CliOptions* options) {
       }
       options->storm = true;
     } else if (name == "--storm-seed") {
-      if (!take_value("--storm-seed")) {
-        Usage();
+      if (!take_int(&options->storm_options.seed, uint64_t{0}, UINT64_MAX,
+                    "a non-negative integer")) {
         return false;
       }
-      char* end = nullptr;
-      long long seed = std::strtoll(value.c_str(), &end, 10);
-      if (value.empty() || end == value.c_str() || *end != '\0' || seed < 0) {
-        return fail("option --storm-seed needs a non-negative integer, got '" + value + "'");
-      }
-      options->storm_options.seed = static_cast<uint64_t>(seed);
       options->storm_flag = "--storm-seed";
     } else if (name == "--storm-duration") {
-      if (!take_value("--storm-duration")) {
-        Usage();
+      if (!take_int(&options->storm_options.duration_ms, int64_t{1}, INT64_MAX,
+                    "a positive integer of simulated ms")) {
         return false;
       }
-      char* end = nullptr;
-      long long duration = std::strtoll(value.c_str(), &end, 10);
-      if (value.empty() || end == value.c_str() || *end != '\0' || duration < 1) {
-        return fail("option --storm-duration needs a positive integer of simulated ms, got '" +
-                    value + "'");
-      }
-      options->storm_options.duration_ms = static_cast<int64_t>(duration);
       options->storm_flag = "--storm-duration";
     } else if (name == "--storm-fault") {
       if (!take_value("--storm-fault")) {
         Usage();
         return false;
       }
-      size_t colon = value.find(':');
-      bool ok = colon != std::string::npos && colon > 0 && colon + 1 < value.size();
-      long long start = 0;
-      long long stop = 0;
-      if (ok) {
-        char* end = nullptr;
-        std::string head = value.substr(0, colon);
-        std::string tail = value.substr(colon + 1);
-        start = std::strtoll(head.c_str(), &end, 10);
-        ok = end != head.c_str() && *end == '\0' && start >= 0;
-        if (ok) {
-          stop = std::strtoll(tail.c_str(), &end, 10);
-          ok = end != tail.c_str() && *end == '\0' && stop > start;
-        }
-      }
-      if (!ok) {
+      const std::string_view window = value;
+      const size_t colon = window.find(':');
+      int64_t start = 0;
+      int64_t stop = 0;
+      if (colon == std::string_view::npos ||
+          !mj::ParseDecimal(window.substr(0, colon), int64_t{0}, INT64_MAX, &start) ||
+          !mj::ParseDecimal(window.substr(colon + 1), int64_t{0}, INT64_MAX, &stop) ||
+          stop <= start) {
         return fail("option --storm-fault needs START:END with 0 <= START < END, got '" +
                     value + "'");
       }
-      options->storm_options.fault_start_ms = static_cast<int64_t>(start);
-      options->storm_options.fault_end_ms = static_cast<int64_t>(stop);
+      options->storm_options.fault_start_ms = start;
+      options->storm_options.fault_end_ms = stop;
       options->storm_fault_set = true;
       options->storm_flag = "--storm-fault";
     } else if (name == "--storm-out") {
