@@ -140,7 +140,7 @@ void CacheStore::LoadLocked() {
       ++stats_.corrupt_entries;
       continue;
     }
-    entries_[EntryKey(ns, key)] = std::move(value);  // Last record wins.
+    entries_[EntryKey(ns, key)].value = std::move(value);  // Last record wins.
     ++stats_.loaded_entries;
   }
 }
@@ -156,16 +156,22 @@ std::optional<std::string> CacheStore::Get(std::string_view ns, std::string_view
   }
   ++stats_.hits;
   ++stats_.hits_by_namespace[ns_name];
-  return it->second;
+  return it->second.value;
 }
 
 void CacheStore::Put(std::string_view ns, std::string_view key, std::string value) {
   std::lock_guard<std::mutex> lock(mutex_);
-  std::string full = EntryKey(ns, key);
-  auto [it, inserted] = entries_.insert_or_assign(std::move(full), std::move(value));
-  (void)inserted;
   ++stats_.puts;
-  dirty_.emplace_back(it->first, it->second);
+  auto [it, inserted] = entries_.try_emplace(EntryKey(ns, key));
+  Entry& entry = it->second;
+  if (!inserted && entry.value == value) {
+    return;  // Already held (and persisted, or listed in dirty_).
+  }
+  entry.value = std::move(value);
+  if (!entry.dirty) {
+    entry.dirty = true;
+    dirty_.push_back(&*it);
+  }
 }
 
 bool CacheStore::Flush(std::string* error) {
@@ -189,16 +195,16 @@ bool CacheStore::Flush(std::string* error) {
       }
     }
     std::ofstream out(entries_path, std::ios::trunc);
-    for (const auto& [full, value] : entries_) {
+    for (const auto& [full, entry] : entries_) {
       size_t sep = full.find('\x1f');
-      AppendRecord(out, std::string_view(full).substr(0, sep), std::string_view(full).substr(sep + 1),
-                   value);
+      AppendRecord(out, std::string_view(full).substr(0, sep),
+                   std::string_view(full).substr(sep + 1), entry.value);
     }
     if (!out) {
       return fail("cannot write " + entries_path.string());
     }
     needs_rewrite_ = false;
-    dirty_.clear();
+    ClearDirtyLocked();
     return true;
   }
 
@@ -206,16 +212,24 @@ bool CacheStore::Flush(std::string* error) {
     return true;
   }
   std::ofstream out(entries_path, std::ios::app);
-  for (const auto& [full, value] : dirty_) {
+  for (const auto* dirty : dirty_) {
+    const std::string& full = dirty->first;
     size_t sep = full.find('\x1f');
-    AppendRecord(out, std::string_view(full).substr(0, sep), std::string_view(full).substr(sep + 1),
-                 value);
+    AppendRecord(out, std::string_view(full).substr(0, sep),
+                 std::string_view(full).substr(sep + 1), dirty->second.value);
   }
   if (!out) {
     return fail("cannot append to " + entries_path.string());
   }
-  dirty_.clear();
+  ClearDirtyLocked();
   return true;
+}
+
+void CacheStore::ClearDirtyLocked() {
+  for (auto* dirty : dirty_) {
+    dirty->second.dirty = false;
+  }
+  dirty_.clear();
 }
 
 CacheStats CacheStore::stats() const {

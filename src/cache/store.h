@@ -12,8 +12,10 @@
 //
 // The store is a plain map in memory; Get/Put are mutex-guarded so the facade
 // may consult it from reduce loops without caring which thread runs them.
-// Flush persists added entries (append when the on-disk file is still the one
-// we loaded, full rewrite after a version mismatch).
+// Flush persists changed entries (append when the on-disk file is still the
+// one we loaded, full rewrite after a version mismatch): a put of the value a
+// key already holds changes nothing, and a key put several times between
+// flushes appends one record, with its last value.
 
 #ifndef WASABI_SRC_CACHE_STORE_H_
 #define WASABI_SRC_CACHE_STORE_H_
@@ -78,11 +80,21 @@ class CacheStore {
  private:
   explicit CacheStore(std::string dir) : dir_(std::move(dir)) {}
   void LoadLocked();
+  void ClearDirtyLocked();
+
+  struct Entry {
+    std::string value;
+    bool dirty = false;  // Changed since the last flush (listed in dirty_).
+  };
+
+  using EntryMap = std::map<std::string, Entry>;  // "<ns>\x1f<key>" -> value.
 
   std::string dir_;
   mutable std::mutex mutex_;
-  std::map<std::string, std::string> entries_;  // "<ns>\x1f<key>" -> value.
-  std::vector<std::pair<std::string, std::string>> dirty_;  // Added since load.
+  EntryMap entries_;
+  // Entries changed since the last flush, in first-put order. Map nodes
+  // never move, so the pointers stay valid.
+  std::vector<EntryMap::value_type*> dirty_;
   bool needs_rewrite_ = false;  // Version mismatch: Flush rewrites everything.
   CacheStats stats_;
 };

@@ -187,6 +187,9 @@ void Interpreter::ThrowTypeError(const char* expected, const Value& value,
 // ---------------------------------------------------------------------------
 
 ObjectRef Interpreter::NewInstance(const mj::ClassDecl& cls) {
+  for (CallInterceptor* interceptor : interceptors_) {
+    interceptor->OnInstantiate(cls);
+  }
   const mj::FieldLayout& layout = index_.field_layout(cls);
   auto object = std::make_shared<Object>(ObjectKind::kInstance, cls.name);
   object->set_decl(&cls);
@@ -683,6 +686,7 @@ Value Interpreter::CallMethod(const mj::MethodDecl& method, ObjectRef self,
     event.caller_activation = caller.activation;
   }
   event.callee = method.qualified_cache;
+  event.method = &method;
   event.site = site;
   for (CallInterceptor* interceptor : interceptors_) {
     if (ObjectRef exception = interceptor->OnCall(event, *this); exception != nullptr) {

@@ -75,6 +75,7 @@ const char* AbortReasonName(AbortReason reason);
 struct CallEvent {
   std::string_view caller;  // Qualified name of the invoking method ("" at top level).
   std::string_view callee;  // Qualified name of the resolved target.
+  const mj::MethodDecl* method = nullptr;  // The resolved target itself.
   const mj::CallExpr* site = nullptr;
   // Unique id of the caller's activation (frame). Two calls share it iff they
   // happen within the SAME invocation of the caller — the context signal the
@@ -95,6 +96,10 @@ class CallInterceptor {
  public:
   virtual ~CallInterceptor() = default;
   virtual ObjectRef OnCall(const CallEvent& event, Interpreter& interp) = 0;
+  // Observes every instantiation of a user class, right before its field
+  // initializers (its own and its bases') run: code that runs without a
+  // call, so OnCall never sees it. Cannot raise.
+  virtual void OnInstantiate(const mj::ClassDecl& /*cls*/) {}
 };
 
 // Observes while/for back-edges with the enclosing method's qualified name

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <map>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -12,6 +14,7 @@
 #include "src/inject/injector.h"
 #include "src/lang/parser.h"
 #include "src/lang/rewrite.h"
+#include "src/obs/trace.h"
 #include "src/storm/profile.h"
 #include "src/testing/coverage.h"
 #include "src/testing/runner.h"
@@ -43,6 +46,9 @@ bool InRepairUniverse(BugType type) {
 // uninjected run of the whole suite (the validator's clean-suite signal).
 struct PipelineRun {
   DynamicResult dyn;
+  ProfileExtraction storm_profiles;          // With dependency sets.
+  std::vector<BugReport> storm_bugs;         // The simulation's verdicts.
+  bool sim_reused = false;                   // storm_bugs are the baseline's.
   std::vector<BugReport> confirmed;          // Universe, deduped, sorted.
   std::set<std::string> keys;                // MatchKeys of `confirmed`.
   std::map<std::string, TestStatus> clean;   // Test -> uninjected outcome.
@@ -65,10 +71,15 @@ std::map<std::string, TestStatus> RunCleanSuite(const TestRunner& runner) {
   return outcomes;
 }
 
-// `runner` is the program's validation runner; it runs the clean suite.
+// Everything of one pass but the clean suite. A validation pass passes the
+// `baseline` pass and the file its patch rewrote: storm work then re-probes
+// only the services whose probes ran code of that file, and when the
+// profiles come out equal to the baseline's it takes the baseline's storm
+// verdicts, since RunStormSim is a pure function of (app, profiles,
+// options) and none of them changes within one RunRepair.
 PipelineRun RunPipelineOnce(const mj::Program& program, const mj::ProgramIndex& index,
                             const WasabiOptions& options, const StormOptions& storm_options,
-                            const TestRunner& runner) {
+                            const PipelineRun* baseline, std::string_view patched_file) {
   PipelineRun run;
   Wasabi wasabi(program, index, options);
   run.dyn = wasabi.RunDynamicWorkflow();
@@ -76,18 +87,25 @@ PipelineRun RunPipelineOnce(const mj::Program& program, const mj::ProgramIndex& 
   std::vector<BugReport> collated =
       CollateStaticWithDynamic(static_result.when_bugs, run.dyn);
 
+  // Only the baseline pass carries a tracer: SanitizeForValidation strips it.
+  run.storm_profiles =
+      ExtractProfiles(program, index, options.jobs, options.tracer,
+                      baseline == nullptr ? nullptr : &baseline->storm_profiles, patched_file);
+  const std::vector<EdgeRetryProfile>& profiles = run.storm_profiles.profiles;
+  if (baseline != nullptr && !profiles.empty() &&
+      profiles == baseline->storm_profiles.profiles) {
+    run.storm_bugs = baseline->storm_bugs;
+    run.sim_reused = true;
+  } else if (!profiles.empty()) {
+    run.storm_bugs =
+        RunStormSim(options.app_name, profiles, storm_options, nullptr, options.tracer).bugs;
+  }
+
   // Dynamic evidence first, then surviving static reports, then storm
   // oracles; the first report of a MatchKey keeps its detail line.
   std::vector<BugReport> candidates = run.dyn.bugs;
   candidates.insert(candidates.end(), collated.begin(), collated.end());
-  // Only the baseline pass carries a tracer: SanitizeForValidation strips it.
-  std::vector<EdgeRetryProfile> profiles =
-      ExtractRetryProfiles(program, index, options.jobs, options.tracer);
-  if (!profiles.empty()) {
-    StormReport storm =
-        RunStormSim(options.app_name, profiles, storm_options, nullptr, options.tracer);
-    candidates.insert(candidates.end(), storm.bugs.begin(), storm.bugs.end());
-  }
+  candidates.insert(candidates.end(), run.storm_bugs.begin(), run.storm_bugs.end());
   for (const BugReport& report : candidates) {
     if (!InRepairUniverse(report.type)) {
       continue;
@@ -106,14 +124,13 @@ PipelineRun RunPipelineOnce(const mj::Program& program, const mj::ProgramIndex& 
               }
               return std::string(BugTypeName(a.type)) < BugTypeName(b.type);
             });
-  run.clean = RunCleanSuite(runner);
   return run;
 }
 
 // Validation re-campaigns run the caller's pipeline configuration but never
 // its observability sinks or record directory: those describe the repair run
-// itself, not the nested what-if campaigns. The cache pointer is kept — the
-// whole point is that validation re-runs only the digest-invalidated slice.
+// itself, not the nested what-if campaigns. The cache pointer is kept: the
+// per-file identification and WHEN entries of every unpatched file hit.
 WasabiOptions SanitizeForValidation(WasabiOptions options) {
   options.tracer = nullptr;
   options.metrics = nullptr;
@@ -256,11 +273,20 @@ RepairReport RunRepair(const mj::Program& program, const mj::ProgramIndex& index
   RepairReport report;
   report.app = options.wasabi.app_name;
 
+  // Spans on the repair thread time the loop; the nested validation
+  // pipelines run without the tracer.
+  Tracer* tracer = options.wasabi.tracer;
+
   // One validation runner per program: the pristine one serves the baseline
   // clean suite and every bug's pre-patch probes.
   TestRunner pristine_runner(program, index, ValidationRunnerOptions(options.wasabi));
-  PipelineRun baseline =
-      RunPipelineOnce(program, index, options.wasabi, options.storm, pristine_runner);
+  PipelineRun baseline;
+  {
+    ScopedSpan span(tracer, "repair.baseline");
+    baseline = RunPipelineOnce(program, index, options.wasabi, options.storm, nullptr, {});
+    ScopedSpan clean_span(tracer, "repair.clean_suite");
+    baseline.clean = RunCleanSuite(pristine_runner);
+  }
   WasabiOptions validation_options = SanitizeForValidation(options.wasabi);
   SimRepair sim(options.sim);
 
@@ -331,42 +357,58 @@ RepairReport RunRepair(const mj::Program& program, const mj::ProgramIndex& index
         break;
     }
 
-    const mj::CompilationUnit* unit = FindUnitByFile(program, bug.file);
-    if (unit == nullptr) {
-      row.outcome = RepairOutcome::kNotFixed;
-      row.note = "source file not found in program";
-      ++report.totals.not_fixed;
-      report.rows.push_back(std::move(row));
-      continue;
-    }
-
-    mj::RewriteResult rewrite = mj::RewriteMethod(
-        bug.file, std::string(unit->file().text()), cls_name, declared_method, mutator);
-    if (!rewrite.ok) {
-      row.outcome = RepairOutcome::kNotFixed;
-      row.note = "patch rejected: " + rewrite.error;
-      ++report.totals.not_fixed;
-      report.rows.push_back(std::move(row));
-      continue;
-    }
-
     mj::Program patched;
-    std::string build_error;
-    if (!BuildPatchedProgram(program, bug.file, rewrite.patched_source, &patched,
-                             &build_error)) {
-      row.outcome = RepairOutcome::kNotFixed;
-      row.note = "patch rejected: " + build_error;
-      ++report.totals.not_fixed;
-      report.rows.push_back(std::move(row));
-      continue;
+    std::unique_ptr<mj::ProgramIndex> patched_index;
+    {
+      ScopedSpan span(tracer, "repair.patch");
+      const mj::CompilationUnit* unit = FindUnitByFile(program, bug.file);
+      if (unit == nullptr) {
+        row.outcome = RepairOutcome::kNotFixed;
+        row.note = "source file not found in program";
+        ++report.totals.not_fixed;
+        report.rows.push_back(std::move(row));
+        continue;
+      }
+      mj::RewriteResult rewrite = mj::RewriteMethod(
+          bug.file, std::string(unit->file().text()), cls_name, declared_method, mutator);
+      if (!rewrite.ok) {
+        row.outcome = RepairOutcome::kNotFixed;
+        row.note = "patch rejected: " + rewrite.error;
+        ++report.totals.not_fixed;
+        report.rows.push_back(std::move(row));
+        continue;
+      }
+      std::string build_error;
+      if (!BuildPatchedProgram(program, bug.file, rewrite.patched_source, &patched,
+                               &build_error)) {
+        row.outcome = RepairOutcome::kNotFixed;
+        row.note = "patch rejected: " + build_error;
+        ++report.totals.not_fixed;
+        report.rows.push_back(std::move(row));
+        continue;
+      }
+      patched_index = std::make_unique<mj::ProgramIndex>(patched);
     }
     row.patched = true;
     ++report.totals.patched;
 
-    mj::ProgramIndex patched_index(patched);
-    TestRunner patched_runner(patched, patched_index, ValidationRunnerOptions(validation_options));
-    PipelineRun post = RunPipelineOnce(patched, patched_index, validation_options, options.storm,
-                                       patched_runner);
+    ScopedSpan validate_span(tracer, "repair.validate");
+    TestRunner patched_runner(patched, *patched_index,
+                              ValidationRunnerOptions(validation_options));
+    PipelineRun post;
+    {
+      ScopedSpan span(tracer, "repair.pipeline");
+      post = RunPipelineOnce(patched, *patched_index, validation_options, options.storm,
+                             &baseline, bug.file);
+      const auto services = static_cast<int64_t>(post.storm_profiles.profiles.size());
+      span.AddArg("services_probed", static_cast<int64_t>(post.storm_profiles.probed));
+      span.AddArg("services_reused", services - post.storm_profiles.probed);
+      span.AddArg("sim_reused", static_cast<int64_t>(post.sim_reused ? 1 : 0));
+    }
+    {
+      ScopedSpan span(tracer, "repair.clean_suite");
+      post.clean = RunCleanSuite(patched_runner);
+    }
 
     // Signal 1: verdict diff over the repair universe.
     bool target_gone = post.keys.count(bug.MatchKey()) == 0;
@@ -395,6 +437,7 @@ RepairReport RunRepair(const mj::Program& program, const mj::ProgramIndex& index
     bool single_fault_regressed = false;
     std::string regressed_probe_test;
     if (row.tmpl != RepairTemplate::kShedOnOverload) {
+      ScopedSpan span(tracer, "repair.k1_probes");
       for (const SingleFaultProbe& probe :
            PlanSingleFaultProbes(baseline.dyn, bug.coordinator)) {
         TestStatus pre = RunSingleFaultProbe(pristine_runner, probe);

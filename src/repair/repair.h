@@ -26,10 +26,20 @@
 //                     replay catches it).
 //
 // Every patch is validated INDEPENDENTLY against the pristine baseline, and
-// validation campaigns share the caller's CacheStore: per-file namespaces
-// (q1/when) stay warm for every unpatched file, so each re-campaign only
-// re-runs the digest-invalidated slice while remaining byte-identical to a
-// cold re-campaign (repair_e2e_test proves both halves).
+// reuses what the patch cannot change (docs/REPAIR.md "What validation
+// reuses"):
+//   - Cache. Validation campaigns share the caller's CacheStore: the per-file
+//     identification (q1) and WHEN (when) entries of every unpatched file
+//     hit. The dynamic workflow's one `camp` entry is keyed by the program
+//     digest, so it misses on every patched program and the coverage,
+//     campaign, oracles and prober of each pass run in full. Reports stay
+//     byte-identical to a cold re-campaign (repair_e2e_test proves both).
+//   - Storm work. A pass re-probes only the services whose baseline probes
+//     ran code of the patched file (src/storm/profile.h), and when the
+//     profiles equal the baseline's it takes the baseline's storm verdicts
+//     instead of simulating again.
+// Parsing, indexing, the clean suite and the K=1 replays are redone for
+// every patch, and so is identification when no cache is attached.
 //
 // Determinism: the report is a pure function of (program, options) — byte
 // identical at any jobs level, any cache state, and both interpreter engines.
@@ -54,8 +64,9 @@ struct RepairOptions {
   // Pipeline configuration for the baseline and every validation re-campaign.
   // Observability sinks and record_dir apply to the BASELINE only; nested
   // validation runs always detach them (their phase structure is an
-  // implementation detail of validation). The cache pointer IS shared with
-  // validation runs — that sharing is the sliced-re-campaign design.
+  // implementation detail of validation), and the tracer instead gets one
+  // repair.patch and one repair.validate span per patched bug. The cache
+  // pointer IS shared with validation runs: unpatched files' entries hit.
   WasabiOptions wasabi;
   StormOptions storm;
   // Modeled repair-error modes; all-off by default (faithful templates).
@@ -108,7 +119,12 @@ struct RepairReport {
 };
 
 // Runs the full repair loop. `program`/`index` are the pristine application;
-// patched programs are rebuilt internally per row.
+// patched programs are rebuilt internally per row. A tracer in
+// `options.wasabi` gets, on the calling thread, a repair.baseline span
+// (holding the traced baseline pipeline and its repair.clean_suite) and per
+// patched bug a repair.patch span (rewrite, parse, index) and a
+// repair.validate span holding repair.pipeline (int args services_probed,
+// services_reused, sim_reused), repair.clean_suite and repair.k1_probes.
 RepairReport RunRepair(const mj::Program& program, const mj::ProgramIndex& index,
                        const RepairOptions& options);
 

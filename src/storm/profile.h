@@ -23,12 +23,24 @@
 // budgets, in parallel across services via TaskPool; results land in a
 // pre-sized vector by index, so the extracted profiles are byte-identical at
 // any worker count.
+//
+// Reuse across patches (docs/REPAIR.md "What validation reuses"). While it
+// probes, the extractor records each service's dependency set: the
+// compilation units of every method its four probes called (the probe's
+// entry call included) and of every class they instantiated, bases too
+// (field initializers run without a call). A probe that runs no code of a
+// unit runs identically when only that unit's text changes, so after a
+// patch rewrites one file, ExtractProfiles with a baseline re-probes only
+// the services whose set holds that file and takes every other profile
+// from the baseline; those live in unpatched units, so their `location`
+// holds too. No runner or pool is built when nothing needs probing.
 
 #ifndef WASABI_SRC_STORM_PROFILE_H_
 #define WASABI_SRC_STORM_PROFILE_H_
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/lang/sema.h"
@@ -67,12 +79,31 @@ struct EdgeRetryProfile {
   }
 };
 
+// The profiles of one program plus what each one depends on.
+struct ProfileExtraction {
+  std::vector<EdgeRetryProfile> profiles;  // Sorted by class name.
+  // dependencies[i]: the files of the units whose code profile i's probes
+  // ran, in program order.
+  std::vector<std::vector<std::string>> dependencies;
+  int probed = 0;  // Services probed by this extraction; the rest were reused.
+};
+
 // Extracts one profile per service class, sorted by class name. `jobs`
 // follows TaskPool semantics (<= 0 = hardware default, 1 = serial). A
 // non-null `tracer` gets a "storm.profile" span (arg `edges`).
 std::vector<EdgeRetryProfile> ExtractRetryProfiles(const mj::Program& program,
                                                    const mj::ProgramIndex& index, int jobs = 1,
                                                    Tracer* tracer = nullptr);
+
+// ExtractRetryProfiles with dependency sets. With a `baseline` (the
+// extraction of a program that differs from `program` only in the text of
+// unit `patched_file`), a service whose baseline dependency set lacks
+// `patched_file` takes its baseline profile and set unprobed; the others
+// are probed. The result equals a fresh extraction of `program`.
+ProfileExtraction ExtractProfiles(const mj::Program& program, const mj::ProgramIndex& index,
+                                  int jobs = 1, Tracer* tracer = nullptr,
+                                  const ProfileExtraction* baseline = nullptr,
+                                  std::string_view patched_file = {});
 
 }  // namespace wasabi
 

@@ -65,10 +65,18 @@ class SimRng {
 // that bucket only afterwards, so every bucket holds its events in push
 // order. When the wheel runs empty the cursor jumps to the heap's minimum.
 // Push and pop are O(1) for near events, plus one cursor step per simulated
-// millisecond. Buckets are lists linked by index through one slab of
-// entries with a free list; the links sit in their own array, so walking
-// them stays in cache. Memory is bounded by the pending events plus the
-// bucket heads, whatever the simulated duration.
+// millisecond. Memory is bounded by the pending events plus the bucket
+// heads, whatever the simulated duration.
+//
+// Buckets are lists linked by index through one slab of bare payloads with a
+// free list. A near event needs no instant (it pops when the cursor reaches
+// its bucket, so at the cursor) and no sequence number (its bucket's FIFO
+// order is its push order); only heap entries carry (at_ms, seq). The links
+// sit in their own array, so walking them stays in cache. Push, PopMin and
+// the slab append are forced inline: out of line (what GCC does with them
+// at -O2), every push copies the payload through the stack twice, and the
+// simulation, which pops about 770k events a run, takes about 1.6x as long
+// (docs/PERFORMANCE.md). Slab growth and heap pushes stay out of line.
 //
 // Precondition: no push lands before the cursor (the sim's delays are all
 // >= 1). Such a push is clamped to the cursor and pops after the events
@@ -76,19 +84,17 @@ class SimRng {
 template <typename Payload>
 class EventQueue {
  public:
-  struct Entry {
+  struct Event {
     int64_t at_ms = 0;
-    uint64_t seq = 0;
     Payload payload;
   };
 
-  void Push(int64_t at_ms, Payload payload) {
+  [[gnu::always_inline]] void Push(int64_t at_ms, Payload payload) {
     at_ms = std::max(at_ms, cursor_);
     if (at_ms - cursor_ < kSpanMs) {
-      Append(Entry{at_ms, next_seq_++, std::move(payload)});
+      Append(at_ms, std::move(payload));
     } else {
-      far_.push_back(Entry{at_ms, next_seq_++, std::move(payload)});
-      std::push_heap(far_.begin(), far_.end(), Later);
+      PushFar(at_ms, std::move(payload));
     }
   }
 
@@ -96,7 +102,7 @@ class EventQueue {
   size_t size() const { return near_ + far_.size(); }
 
   // Precondition: !empty().
-  Entry PopMin() {
+  [[gnu::always_inline]] Event PopMin() {
     if (near_ == 0) {
       cursor_ = far_.front().at_ms;
       Migrate();
@@ -111,12 +117,18 @@ class EventQueue {
     next_[index] = free_;
     free_ = index;
     --near_;
-    return std::move(slab_[index]);
+    return Event{cursor_, std::move(slab_[index])};
   }
 
  private:
   static constexpr int64_t kSpanMs = 4096;  // Power of two: Slot() masks.
   static constexpr uint32_t kNil = UINT32_MAX;
+
+  struct FarEntry {
+    int64_t at_ms = 0;
+    uint64_t seq = 0;
+    Payload payload;
+  };
 
   struct Bucket {
     uint32_t head = kNil;
@@ -126,26 +138,23 @@ class EventQueue {
   static size_t Slot(int64_t at_ms) { return static_cast<size_t>(at_ms & (kSpanMs - 1)); }
 
   // Heap order: std::push_heap keeps the greatest on top, so "later" first.
-  static bool Later(const Entry& a, const Entry& b) {
+  static bool Later(const FarEntry& a, const FarEntry& b) {
     if (a.at_ms != b.at_ms) {
       return a.at_ms > b.at_ms;
     }
     return a.seq > b.seq;
   }
 
-  // Appends to the tail of the entry's bucket; at_ms is within the span.
-  void Append(Entry&& entry) {
-    Bucket& bucket = buckets_[Slot(entry.at_ms)];
-    uint32_t index = free_;
-    if (index != kNil) {
-      free_ = next_[index];
-      slab_[index] = std::move(entry);
-      next_[index] = kNil;
-    } else {
-      index = static_cast<uint32_t>(slab_.size());
-      slab_.push_back(std::move(entry));
-      next_.push_back(kNil);
+  // Appends to the tail of at_ms's bucket; at_ms is within the span.
+  [[gnu::always_inline]] void Append(int64_t at_ms, Payload&& payload) {
+    if (free_ == kNil) {
+      Grow();
     }
+    const uint32_t index = free_;
+    free_ = next_[index];
+    slab_[index] = std::move(payload);
+    next_[index] = kNil;
+    Bucket& bucket = buckets_[Slot(at_ms)];
     if (bucket.head == kNil) {
       bucket.head = index;
     } else {
@@ -155,20 +164,32 @@ class EventQueue {
     ++near_;
   }
 
+  // Puts one new slab entry on the (empty) free list.
+  [[gnu::noinline]] void Grow() {
+    free_ = static_cast<uint32_t>(slab_.size());
+    slab_.emplace_back();
+    next_.push_back(kNil);
+  }
+
+  [[gnu::noinline]] void PushFar(int64_t at_ms, Payload&& payload) {
+    far_.push_back(FarEntry{at_ms, next_seq_++, std::move(payload)});
+    std::push_heap(far_.begin(), far_.end(), Later);
+  }
+
   // Moves every heap event now within the span into its bucket.
   void Migrate() {
     while (!far_.empty() && far_.front().at_ms - cursor_ < kSpanMs) {
       std::pop_heap(far_.begin(), far_.end(), Later);
-      Append(std::move(far_.back()));
+      Append(far_.back().at_ms, std::move(far_.back().payload));
       far_.pop_back();
     }
   }
 
-  std::vector<Entry> slab_;
+  std::vector<Payload> slab_;
   std::vector<uint32_t> next_;  // Bucket or free-list link per slab entry.
   uint32_t free_ = kNil;
   std::vector<Bucket> buckets_ = std::vector<Bucket>(kSpanMs);
-  std::vector<Entry> far_;  // Min-heap under Later.
+  std::vector<FarEntry> far_;  // Min-heap under Later.
   int64_t cursor_ = 0;
   size_t near_ = 0;  // Events in the buckets.
   uint64_t next_seq_ = 0;

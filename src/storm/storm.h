@@ -27,9 +27,13 @@
 // bytes across builds.
 //
 // Cost. One default-options run pops about 770k events; the wheel makes
-// each push and pop O(1), and per-request state is a window indexed by the
-// dense request id; only the per-request breaker bookkeeping still hashes
-// (docs/PERFORMANCE.md).
+// each push and pop O(1), with near events stored as bare payloads and the
+// push/pop path inlined into the event loop, and per-request state is a
+// window indexed by the dense request id; only the per-request breaker
+// bookkeeping still hashes (docs/PERFORMANCE.md). Repair validation runs
+// the simulation only when a patch changed a profile: RunStormSim is a pure
+// function of (app, profiles, options), so equal profiles reuse the
+// baseline's verdicts.
 
 #ifndef WASABI_SRC_STORM_STORM_H_
 #define WASABI_SRC_STORM_STORM_H_

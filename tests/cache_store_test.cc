@@ -1,12 +1,14 @@
 // Unit tests for the versioned on-disk cache store (src/cache/store.h, ctest
 // label "cache"): field escaping, persistence across sessions, last-write-wins
-// reload, schema-version invalidation, and — the robustness contract — that
-// corrupt or truncated records can only ever cause recomputation (dropped +
-// counted), never a wrong value and never a crash.
+// reload, one appended record per changed key, schema-version invalidation,
+// and — the robustness contract — that corrupt or truncated records can only
+// ever cause recomputation (dropped + counted), never a wrong value and never
+// a crash.
 
 #include "src/cache/store.h"
 
 #include <unistd.h>
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -116,6 +118,50 @@ TEST_F(CacheStoreTest, FlushPersistsAcrossSessionsAndLastWriteWins) {
   EXPECT_EQ(store->Get("q1", "key1").value_or(""), "second");
   EXPECT_EQ(store->stats().corrupt_entries, 0);
   EXPECT_EQ(store->stats().version_mismatches, 0);
+}
+
+TEST_F(CacheStoreTest, PutsOfHeldValuesAppendNothingAndRepeatedPutsAppendOnce) {
+  std::string error;
+  {
+    std::unique_ptr<CacheStore> store = Open();
+    store->Put("camp", "k", "v1");
+    store->Put("camp", "k", "v1");
+    ASSERT_TRUE(store->Flush(&error)) << error;
+  }
+  const std::string flushed = ReadEntriesFile();
+  {
+    // A warm session putting the value the key already holds appends nothing,
+    // but every call still counts as a put.
+    std::unique_ptr<CacheStore> store = Open();
+    store->Put("camp", "k", "v1");
+    store->Put("camp", "k", "v1");
+    EXPECT_EQ(store->stats().puts, 2);
+    ASSERT_TRUE(store->Flush(&error)) << error;
+  }
+  EXPECT_EQ(ReadEntriesFile(), flushed);
+  {
+    // Several puts of one key before a flush append one record, with the
+    // last value; a second flush with nothing changed appends nothing.
+    std::unique_ptr<CacheStore> store = Open();
+    store->Put("camp", "k", "v2");
+    store->Put("q1", "other", "x");
+    store->Put("camp", "k", "v3");
+    store->Put("camp", "k", "v4");
+    EXPECT_EQ(store->stats().puts, 4);
+    EXPECT_EQ(store->Get("camp", "k").value_or(""), "v4");
+    ASSERT_TRUE(store->Flush(&error)) << error;
+    ASSERT_TRUE(store->Flush(&error)) << error;
+  }
+  const std::string entries = ReadEntriesFile();
+  ASSERT_EQ(entries.compare(0, flushed.size(), flushed), 0) << "flush must append";
+  const std::string appended = entries.substr(flushed.size());
+  EXPECT_EQ(std::count(appended.begin(), appended.end(), '\n'), 2) << appended;
+  EXPECT_EQ(appended.find("v2"), std::string::npos) << appended;
+  EXPECT_EQ(appended.find("v3"), std::string::npos) << appended;
+  std::unique_ptr<CacheStore> store = Open();
+  EXPECT_EQ(store->stats().loaded_entries, 3);
+  EXPECT_EQ(store->Get("camp", "k").value_or(""), "v4");
+  EXPECT_EQ(store->Get("q1", "other").value_or(""), "x");
 }
 
 TEST_F(CacheStoreTest, VersionMismatchDiscardsStoreAndRewrites) {

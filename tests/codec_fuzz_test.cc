@@ -12,20 +12,34 @@
 // decodes holds only in-range enums and listed locations. Its codec must also
 // round-trip: encode, decode, encode is byte-stable on every corpus app and
 // lab.
+//
+// The cache store's loader (src/cache/store.h) takes 10,000 bit flips,
+// truncations, insertions and duplicated lines of a real entries.tsv (hbase
+// after the dynamic and static workflows): Open never fails, every line that
+// is not byte-identical to an intact record is dropped and counted as
+// corrupt, and every Get returns nothing or a value an intact record of that
+// key carried.
 
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <functional>
 #include <iostream>
+#include <map>
+#include <memory>
 #include <random>
+#include <set>
 #include <unordered_set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
+
+#include <unistd.h>
 
 #include <gtest/gtest.h>
 
+#include "src/cache/store.h"
 #include "src/core/cache_codec.h"
 #include "src/core/wasabi.h"
 #include "src/corpus/corpus.h"
@@ -242,6 +256,109 @@ TEST(CodecFuzzTest, DynamicEntryRoundTripsOnEveryAppAndLab) {
     EXPECT_EQ(decoded.coverage, result.coverage) << name;
     EXPECT_EQ(decoded.raw_reports.size(), result.raw_reports.size()) << name;
   }
+}
+
+// The non-empty lines of `text`, split on '\n' as the store's loader does.
+std::vector<std::string> NonEmptyLines(const std::string& text) {
+  std::vector<std::string> lines;
+  std::istringstream in(text);
+  std::string line;
+  while (std::getline(in, line)) {
+    if (!line.empty()) {
+      lines.push_back(line);
+    }
+  }
+  return lines;
+}
+
+// Case i applies one mutation, cycling bit flip / truncation / insertion /
+// a copy of one of `lines` (the intact records) inserted at a line start.
+std::string MutateStore(const std::string& input, const std::vector<std::string>& lines, int i,
+                        std::mt19937_64& rng) {
+  if (i % 4 != 3) {
+    return Mutate(input, i % 4, rng);
+  }
+  std::vector<size_t> starts = {0};
+  for (size_t at = input.find('\n'); at != std::string::npos && at + 1 < input.size();
+       at = input.find('\n', at + 1)) {
+    starts.push_back(at + 1);
+  }
+  std::string out = input;
+  out.insert(starts[rng() % starts.size()], lines[rng() % lines.size()] + "\n");
+  return out;
+}
+
+TEST(CodecFuzzTest, MutatedCacheStoresServeOnlyIntactRecords) {
+  CorpusApp app = BuildCorpusApp("hbase");
+  const fs::path dir = fs::path(::testing::TempDir()) /
+                       ("wasabi_store_fuzz_test_" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+  std::string error;
+  {
+    std::unique_ptr<CacheStore> store = CacheStore::Open(dir.string(), &error);
+    ASSERT_NE(store, nullptr) << error;
+    WasabiOptions options;
+    options.app_name = app.name;
+    options.default_configs = app.default_configs;
+    options.cache = store.get();
+    Wasabi wasabi(app.program, *app.index, options);
+    wasabi.RunDynamicWorkflow();
+    wasabi.RunStaticWorkflow();
+    ASSERT_TRUE(store->Flush(&error)) << error;
+  }
+  const std::string original = ReadFileBytes(dir / "entries.tsv");
+  const std::vector<std::string> lines = NonEmptyLines(original);
+  ASSERT_GT(lines.size(), 100u);
+  const std::set<std::string> intact(lines.begin(), lines.end());
+
+  // Every value the intact records carry, by (namespace, key).
+  std::map<std::pair<std::string, std::string>, std::set<std::string>> values;
+  for (const std::string& line : lines) {
+    const size_t t1 = line.find('\t');
+    const size_t t2 = line.find('\t', t1 + 1);
+    const size_t t3 = line.find('\t', t2 + 1);
+    ASSERT_NE(t3, std::string::npos) << line;
+    std::string key;
+    std::string value;
+    ASSERT_TRUE(CacheStore::UnescapeField(line.substr(t2 + 1, t3 - t2 - 1), &key));
+    ASSERT_TRUE(CacheStore::UnescapeField(line.substr(t3 + 1), &value));
+    values[{line.substr(t1 + 1, t2 - t1 - 1), key}].insert(value);
+  }
+  std::set<std::string> namespaces;
+  for (const auto& [name, carried] : values) {
+    namespaces.insert(name.first);
+  }
+  ASSERT_EQ(namespaces, (std::set<std::string>{"camp", "q1", "when"}));
+
+  std::mt19937_64 rng(5);
+  int64_t dropped = 0;
+  for (int i = 0; i < kCasesPerInput; ++i) {
+    const std::string mutated = MutateStore(original, lines, i, rng);
+    {
+      std::ofstream out(dir / "entries.tsv", std::ios::binary | std::ios::trunc);
+      out << mutated;
+    }
+    int64_t expect_loaded = 0;
+    int64_t expect_corrupt = 0;
+    for (const std::string& line : NonEmptyLines(mutated)) {
+      ++(intact.count(line) > 0 ? expect_loaded : expect_corrupt);
+    }
+    std::unique_ptr<CacheStore> store = CacheStore::Open(dir.string(), &error);
+    ASSERT_NE(store, nullptr) << "case " << i << ": " << error;
+    const CacheStats stats = store->stats();
+    ASSERT_EQ(stats.loaded_entries, expect_loaded) << "case " << i;
+    ASSERT_EQ(stats.corrupt_entries, expect_corrupt) << "case " << i;
+    dropped += stats.corrupt_entries;
+    for (const auto& [name, carried] : values) {
+      const std::optional<std::string> got = store->Get(name.first, name.second);
+      ASSERT_TRUE(!got.has_value() || carried.count(*got) > 0)
+          << "case " << i << " served a value no intact record of " << name.first << "/"
+          << name.second << " carried";
+    }
+  }
+  fs::remove_all(dir);
+  std::cout << "cache store: " << dropped << " damaged records dropped over " << kCasesPerInput
+            << " mutants of " << lines.size() << " records\n";
 }
 
 }  // namespace

@@ -10,12 +10,15 @@
 #include <unistd.h>
 
 #include <filesystem>
+#include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/cache/store.h"
 #include "src/corpus/corpus.h"
+#include "src/obs/trace.h"
 #include "src/repair/repair.h"
 
 namespace wasabi {
@@ -206,6 +209,90 @@ TEST(RepairE2eTest, SimRepairReportsAreDeterministicToo) {
   options.wasabi.jobs = 4;
   EXPECT_EQ(RepairReportToJson(RunOnce(app, options)), first)
       << "error-mode draws are keyed on (seed, bug), not execution order";
+}
+
+// With a tracer, the repair thread records one repair.baseline span, which
+// holds every span of the traced baseline pipeline (phase.*, storm.*, runs),
+// and per patched bug a repair.patch span and a repair.validate span holding
+// repair.pipeline, repair.clean_suite and repair.k1_probes. Validation
+// pipelines run untraced: no other span falls outside the baseline.
+TEST(RepairE2eTest, TraceCoversTheRepairLoopWithAFixedSpanTaxonomy) {
+  CorpusApp app = BuildCorpusApp("repairlab");
+  Tracer tracer;
+  RepairOptions options = OptionsFor(app);
+  options.wasabi.tracer = &tracer;
+  RepairReport report = RunOnce(app, options);
+  EXPECT_EQ(RepairReportToJson(report), RepairReportToJson(RunOnce(app, OptionsFor(app))))
+      << "a tracer must not change the report";
+
+  std::map<std::string, std::vector<TraceEvent>> spans;
+  for (TraceEvent& event : tracer.Collect()) {
+    if (event.phase == 'X') {
+      spans[event.name].push_back(std::move(event));
+    }
+  }
+  auto inside = [](const TraceEvent& inner, const TraceEvent& outer) {
+    return inner.start_us >= outer.start_us &&
+           inner.start_us + inner.duration_us <= outer.start_us + outer.duration_us;
+  };
+  size_t k1_probed = 0;
+  for (const RepairRow& row : report.rows) {
+    k1_probed += row.patched && row.tmpl != RepairTemplate::kShedOnOverload ? 1 : 0;
+  }
+  const auto patched = static_cast<size_t>(report.totals.patched);
+  ASSERT_EQ(patched, 7u);
+  ASSERT_EQ(spans["repair.baseline"].size(), 1u);
+  const TraceEvent& baseline = spans["repair.baseline"][0];
+  EXPECT_EQ(spans["repair.patch"].size(), patched);
+  EXPECT_EQ(spans["repair.validate"].size(), patched);
+  EXPECT_EQ(spans["repair.pipeline"].size(), patched);
+  EXPECT_EQ(spans["repair.clean_suite"].size(), patched + 1);
+  EXPECT_EQ(spans["repair.k1_probes"].size(), k1_probed);
+  EXPECT_EQ(spans["storm.profile"].size(), 1u);
+  EXPECT_EQ(spans["storm.sim"].size(), 1u);
+  EXPECT_EQ(spans["phase.campaign"].size(), 1u);
+  for (const auto& [name, events] : spans) {
+    if (name.rfind("repair.", 0) == 0) {
+      continue;
+    }
+    for (const TraceEvent& event : events) {
+      EXPECT_TRUE(inside(event, baseline)) << name << " outside repair.baseline";
+    }
+  }
+
+  // Validation children nest in a repair.validate on the repair thread; one
+  // clean suite belongs to the baseline.
+  int baseline_clean_suites = 0;
+  for (const char* child : {"repair.pipeline", "repair.clean_suite", "repair.k1_probes"}) {
+    for (const TraceEvent& event : spans[child]) {
+      if (inside(event, baseline)) {
+        ++baseline_clean_suites;
+        EXPECT_STREQ(child, "repair.clean_suite");
+        continue;
+      }
+      bool nested = false;
+      for (const TraceEvent& validate : spans["repair.validate"]) {
+        nested = nested || (validate.tid == event.tid && inside(event, validate));
+      }
+      EXPECT_TRUE(nested) << child << " outside every repair.validate";
+    }
+  }
+  EXPECT_EQ(baseline_clean_suites, 1);
+
+  // Three patches reach no service probe (baseline profiles and verdicts
+  // reused); the other four re-probe their own service only.
+  std::map<std::string, int64_t> totals;
+  for (const TraceEvent& event : spans["repair.pipeline"]) {
+    std::map<std::string, int64_t> args(event.int_args.begin(), event.int_args.end());
+    ASSERT_EQ(args.size(), 3u);
+    EXPECT_EQ(args["services_probed"] + args["services_reused"], 4);
+    for (const auto& [key, value] : args) {
+      totals[key] += value;
+    }
+  }
+  EXPECT_EQ(totals["services_probed"], 4);
+  EXPECT_EQ(totals["services_reused"], 24);
+  EXPECT_EQ(totals["sim_reused"], 3);
 }
 
 TEST(RepairE2eTest, RepairJsonIsVersionedAndCacheFree) {

@@ -3,7 +3,9 @@
 # byte-identical with the cache off, cold (populating an empty directory) and
 # warm (replaying it). The warm `test` run must also read its one
 # dynamic-workflow entry and write nothing: its --metrics-out shows
-# cache.hits.camp 1 and cache.puts 0.
+# cache.hits.camp 1 and cache.puts 0. A journaled run against the warm store
+# puts its workflow entry again, with the value the store already holds:
+# two such runs must leave entries.tsv byte-identical.
 file(REMOVE_RECURSE "${WORK_DIR}")
 file(MAKE_DIRECTORY "${WORK_DIR}")
 execute_process(COMMAND "${WASABI_CLI}" dump-corpus "${WORK_DIR}" --app flakylab
@@ -54,5 +56,16 @@ foreach(variant IN LISTS variant_names)
       message(FATAL_ERROR "${variant}: warm run did not read its workflow entry "
                           "(cache.hits.camp '${hits}', ${err})")
     endif()
+  endif()
+endforeach()
+
+set(cache "${WORK_DIR}/cache_test_text")
+file(READ "${cache}/entries.tsv" warm_entries)
+foreach(round 1 2)
+  run_cli(journaled test "${app}" --jobs 1 --repetitions 2 "--cache-dir=${cache}"
+          "--journal-out=${WORK_DIR}/journal_${round}.json")
+  file(READ "${cache}/entries.tsv" entries)
+  if(NOT entries STREQUAL warm_entries)
+    message(FATAL_ERROR "journaled warm run ${round} appended to ${cache}/entries.tsv")
   endif()
 endforeach()

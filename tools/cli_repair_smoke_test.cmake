@@ -1,7 +1,8 @@
 # Repair CLI smoke test (docs/REPAIR.md). Dumps the repairlab ground-truth
 # app, runs `wasabi repair` expecting byte-identical JSON at several worker
 # counts and with the observability sinks armed (stdout neutrality), checks
-# the text summary scores the seeded manifest exactly, and exercises the
+# the text summary scores the seeded manifest exactly and is unchanged by
+# --trace-out (whose trace holds the repair.* spans), and exercises the
 # strict flag parser: misplaced or malformed --repair-out/--storm-out values
 # must exit 2 with the usage line.
 file(REMOVE_RECURSE "${WORK_DIR}")
@@ -86,6 +87,25 @@ endforeach()
 if(text MATCHES "\\[regressed\\]")
   message(FATAL_ERROR "repair summary reports a regression on the clean lab:\n${text}")
 endif()
+
+# The text summary is stdout-neutral to --trace-out too, and the trace covers
+# the repair loop: its baseline and, per patched bug, the validation pass.
+execute_process(COMMAND "${WASABI_CLI}" repair "${app}" --jobs 4
+                        "--trace-out=${WORK_DIR}/text_trace.json"
+                OUTPUT_VARIABLE traced_text RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "traced repair text run failed: ${rc}")
+endif()
+if(NOT traced_text STREQUAL text)
+  message(FATAL_ERROR "--trace-out changed the repair text summary")
+endif()
+file(READ "${WORK_DIR}/text_trace.json" trace)
+foreach(span IN ITEMS repair.baseline repair.patch repair.validate repair.pipeline
+                      repair.clean_suite repair.k1_probes)
+  if(NOT trace MATCHES "\"${span}\"")
+    message(FATAL_ERROR "repair trace has no ${span} span")
+  endif()
+endforeach()
 
 # Strict flag parsing: a --repair-out without a value or with an empty value,
 # the flag on any other command, and storm-only flags on repair all exit 2

@@ -103,7 +103,12 @@
 // classes whose names end in "Test" are unit tests. The directory's base name
 // is used as the application name in reports.
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
 #include <climits>
 #include <cstdint>
 #include <filesystem>
@@ -453,20 +458,39 @@ void FinishCliCache(CacheStore* store, MetricsRegistry* metrics) {
   }
 }
 
-// Reads `path` whole into `text`, sized from the file's size so the bytes
-// are copied once. A file that shrinks between the size check and the read
-// keeps what was read.
+// Reads `path` whole into `text` with open/fstat/read, sized from the
+// file's size so the bytes are copied once. Reads resume after EINTR and
+// short reads; a file that shrinks between fstat and the read keeps what was
+// read, and one that grows is read up to its fstat size. An open, fstat or
+// read error makes the file unreadable.
 bool ReadSourceFile(const fs::path& path, std::string* text) {
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  std::streamoff size = in ? static_cast<std::streamoff>(in.tellg()) : -1;
-  if (size < 0) {
+  int fd;
+  do {
+    fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  } while (fd < 0 && errno == EINTR);
+  if (fd < 0) {
     return false;
   }
-  text->resize(static_cast<size_t>(size));
-  in.seekg(0);
-  in.read(text->data(), size);
-  text->resize(static_cast<size_t>(in.gcount()));
-  return true;
+  struct stat info;
+  bool ok = ::fstat(fd, &info) == 0;
+  size_t read_bytes = 0;
+  if (ok) {
+    text->resize(static_cast<size_t>(info.st_size));
+    while (read_bytes < text->size()) {
+      const ssize_t n = ::read(fd, text->data() + read_bytes, text->size() - read_bytes);
+      if (n < 0 && errno == EINTR) {
+        continue;
+      }
+      if (n <= 0) {
+        ok = n == 0;  // 0: end of file, the file shrank.
+        break;
+      }
+      read_bytes += static_cast<size_t>(n);
+    }
+  }
+  ::close(fd);
+  text->resize(ok ? read_bytes : 0);
+  return ok;
 }
 
 // One app as the analysis commands load it: its program, the index every
